@@ -2,7 +2,9 @@
 
 use crate::fault::FaultPlan;
 use crate::node::{Network, ShardPlan};
-use crate::runtime::{CancelToken, QueryBudget, RuntimeError, Schedule, SimRuntime, ThreadRuntime};
+use crate::runtime::{
+    CancelToken, QueryBudget, RuntimeError, Schedule, SimRuntime, ThreadRuntime, Trip,
+};
 use crate::stats::Stats;
 use mp_datalog::analysis::DependencyAnalysis;
 use mp_datalog::{Atom, Database, DatalogError, Predicate, Program, Rule, Term, Var};
@@ -11,7 +13,7 @@ use mp_lint::Diagnostic;
 use mp_rulegoal::{GraphError, RuleGoalGraph, SipKind};
 use mp_storage::{AggError, Relation, Tuple};
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Which runtime executes the network.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -263,22 +265,6 @@ impl Engine {
         self.cancel.clone()
     }
 
-    /// Cap the step budget. Deprecated shim: forwards to the
-    /// [`QueryBudget`] — use `with_budget(QueryBudget::new()
-    /// .with_max_steps(..))` in new code.
-    pub fn with_max_steps(mut self, max_steps: u64) -> Engine {
-        self.budget.max_steps = max_steps;
-        self
-    }
-
-    /// Cap the wall-clock budget. Deprecated shim: forwards to the
-    /// [`QueryBudget`] — use `with_budget(QueryBudget::new()
-    /// .with_deadline(..))` in new code.
-    pub fn with_timeout(mut self, timeout: Duration) -> Engine {
-        self.budget.deadline = timeout;
-        self
-    }
-
     /// Size the threaded runtime's worker pool. `0` (the default) sizes
     /// it to `std::thread::available_parallelism`; the pool is never
     /// larger than the graph's node count. Ignored by the simulator.
@@ -510,7 +496,6 @@ impl Engine {
             RuntimeKind::Sim(schedule) => {
                 let sim = SimRuntime {
                     schedule,
-                    max_steps: self.budget.max_steps,
                     trace: self.trace,
                     fault_plan: self.fault_plan.clone(),
                     recovery: self.recovery,
@@ -534,7 +519,6 @@ impl Engine {
             }
             RuntimeKind::Threads => {
                 let rt = ThreadRuntime {
-                    timeout: self.budget.deadline,
                     fault_plan: self.fault_plan.clone(),
                     recovery: self.recovery,
                     trace: self.trace,
@@ -585,6 +569,47 @@ impl Engine {
         b
     }
 
+    /// Restate a sub-run's error for the user's query: budget figures
+    /// become the user's limit and the whole pipeline's use, and a
+    /// materialization run (`final_run` false) keeps no partial answers
+    /// — its tuples answer a synthesized query, not the user's.
+    fn pipeline_error(&self, e: EngineError, spent: &Stats, final_run: bool) -> EngineError {
+        let EngineError::Runtime(mut r) = e else {
+            return e;
+        };
+        match &mut r {
+            RuntimeError::BudgetExceeded {
+                resource,
+                limit,
+                used,
+                partial,
+                ..
+            } => {
+                if *resource == Trip::Messages {
+                    *limit = self.budget.max_messages.unwrap_or(*limit);
+                    *used += spent.logical_messages();
+                }
+                if !final_run {
+                    partial.clear();
+                }
+            }
+            RuntimeError::Cancelled { partial, .. } if !final_run => partial.clear(),
+            RuntimeError::Timeout {
+                budget_millis,
+                partial_answers,
+                ..
+            } => {
+                *budget_millis = self.budget.deadline.as_millis() as u64;
+                if !final_run {
+                    *partial_answers = 0;
+                }
+            }
+            RuntimeError::Diverged { steps } => *steps += spent.messages_processed,
+            _ => {}
+        }
+        EngineError::Runtime(r)
+    }
+
     /// Evaluate stratum by stratum (the staged pipeline).
     ///
     /// Stratum `s` runs as ordinary engine evaluations over a working
@@ -595,7 +620,8 @@ impl Engine {
     /// through a synthesized `goal(V..) :- p(V..)` query. The final
     /// stratum is the original query; its result carries the merged
     /// stats of the whole pipeline. Traces and events, when enabled,
-    /// cover the final stratum's run.
+    /// cover the final stratum's run. An error from any run is reported
+    /// against the user's query (see [`Engine::pipeline_error`]).
     fn evaluate_staged(&self) -> Result<QueryResult, EngineError> {
         let started = Instant::now();
         // Full-program static gate: MP0xx program lints, MP009–MP012,
@@ -625,8 +651,9 @@ impl Engine {
                     && plan.stratum(&r.head.pred) == s
                     && relevant.contains(&r.head.pred)
             }) {
-                let (stats, tuples) =
-                    self.materialize_aggregate(r, &working_db, started, &spent)?;
+                let (stats, tuples) = self
+                    .materialize_aggregate(r, &working_db, started, &spent)
+                    .map_err(|e| self.pipeline_error(e, &spent, false))?;
                 spent.merge(&stats);
                 for t in tuples {
                     working_db.insert(r.head.pred.clone(), t)?;
@@ -649,7 +676,9 @@ impl Engine {
                     facts: Vec::new(),
                 };
                 let eng = self.sub_engine(sub, &working_db, self.remaining_budget(started, &spent));
-                let mut out = eng.evaluate_direct()?;
+                let mut out = eng
+                    .evaluate_direct()
+                    .map_err(|e| self.pipeline_error(e, &spent, true))?;
                 out.stats.merge(&spent);
                 return Ok(out);
             }
@@ -696,7 +725,9 @@ impl Engine {
                 let eng = self
                     .sub_engine(sub, &working_db, self.remaining_budget(started, &spent))
                     .with_trace(false);
-                let out = eng.evaluate_direct()?;
+                let out = eng
+                    .evaluate_direct()
+                    .map_err(|e| self.pipeline_error(e, &spent, false))?;
                 spent.merge(&out.stats);
                 sealed.push((pred, out.answers.iter().cloned().collect()));
             }
@@ -796,7 +827,6 @@ impl Engine {
         network.set_batch_max(self.batch_size);
         let sim = SimRuntime {
             schedule: Schedule::Fifo,
-            max_steps: self.budget.max_steps,
             trace: self.trace,
             fault_plan: None,
             recovery: self.recovery,
@@ -1210,7 +1240,7 @@ mod tests {
     #[test]
     fn divergence_guard_fires() {
         let err = tc_engine(&[(0, 1), (1, 0)], 0)
-            .with_max_steps(5)
+            .with_budget(QueryBudget::new().with_max_steps(5))
             .evaluate()
             .unwrap_err();
         assert!(matches!(

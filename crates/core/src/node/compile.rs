@@ -364,25 +364,27 @@ impl Network {
         }
     }
 
-    /// Directed (from, to) node pairs that lie inside a nontrivial
-    /// strong component, in both message directions. Credit windows are
-    /// never applied to these links: stalling a recursive answer that
-    /// its own producer transitively waits on could deadlock the cycle,
-    /// so flow control gates only cross-component links and the engine
-    /// injector.
-    pub fn intra_pairs(&self) -> std::collections::BTreeSet<(NodeId, NodeId)> {
-        let mut pairs = std::collections::BTreeSet::new();
+    /// For each node, the peers it shares a link with inside a
+    /// nontrivial strong component (links are symmetric: both message
+    /// directions). Credit windows are never applied to these links:
+    /// stalling a recursive answer that its own producer transitively
+    /// waits on could deadlock the cycle, so flow control gates only
+    /// cross-component links and the engine injector.
+    pub fn intra_peers(&self) -> Vec<std::collections::BTreeSet<NodeId>> {
+        let mut peers = vec![std::collections::BTreeSet::new(); self.processes.len()];
+        let mut link = |a: NodeId, b: NodeId| {
+            peers[a].insert(b);
+            peers[b].insert(a);
+        };
         for p in &self.processes {
             let id = p.common.id;
             for c in &p.common.customers {
                 if let (true, crate::msg::Endpoint::Node(n)) = (c.intra, c.ep) {
-                    pairs.insert((id, n));
-                    pairs.insert((n, id));
+                    link(id, n);
                 }
             }
             for f in p.common.feeders.iter().filter(|f| f.intra) {
-                pairs.insert((id, f.node));
-                pairs.insert((f.node, id));
+                link(id, f.node);
             }
             // Probe-tree links: at K=1 the BFST follows component arcs,
             // so these are already present; under sharding a captain's
@@ -391,17 +393,12 @@ impl Network {
             // (stalling an EndConfirmed a concluding leader transitively
             // waits on could deadlock the wave).
             if let Some(t) = &p.common.term {
-                if let Some(parent) = t.bfst_parent {
-                    pairs.insert((id, parent));
-                    pairs.insert((parent, id));
-                }
-                for &child in &t.bfst_children {
-                    pairs.insert((id, child));
-                    pairs.insert((child, id));
+                for &n in t.bfst_parent.iter().chain(&t.bfst_children) {
+                    link(id, n);
                 }
             }
         }
-        pairs
+        peers
     }
 
     /// Compile `graph` over `db`, unsharded (every node single-instance).

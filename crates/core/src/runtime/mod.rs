@@ -10,9 +10,11 @@ pub use govern::{CancelToken, Governor, NodeUsage, QueryBudget, Trip};
 pub use sim::{Schedule, SimOutcome, SimRuntime};
 pub use thread::{ThreadOutcome, ThreadRuntime};
 
-use crate::msg::{Endpoint, Payload};
-use mp_storage::Tuple;
-use mp_trace::MsgKind;
+use crate::msg::{Endpoint, Msg, Payload};
+use crate::node::{Ctx, Process};
+use crate::stats::Stats;
+use mp_storage::{Relation, Tuple};
+use mp_trace::{MsgKind, Tracer};
 
 /// Ring capacity for recorded events (per run). Large enough for every
 /// canonical workload; overruns are counted, not silently lost, and a
@@ -26,6 +28,150 @@ pub(crate) fn trace_actor(ep: Endpoint, n_nodes: usize) -> u32 {
         Some(id) => id as u32,
         None => n_nodes as u32,
     }
+}
+
+/// The engine's query injection: the top-level relation request, one
+/// tuple request per binding of the goal's `d` arguments (a single unit
+/// request for the standard query), and end-of-requests.
+pub(crate) fn initial_requests(root: usize, requests: impl IntoIterator<Item = Tuple>) -> Vec<Msg> {
+    let to = Endpoint::Node(root);
+    let msg = |payload| Msg {
+        from: Endpoint::Engine,
+        to,
+        payload,
+    };
+    let mut out = vec![msg(Payload::RelationRequest)];
+    out.extend(
+        requests
+            .into_iter()
+            .map(|binding| msg(Payload::TupleRequest { binding })),
+    );
+    out.push(msg(Payload::EndOfRequests));
+    out
+}
+
+/// Answer collection at the engine endpoint, shared by both runtimes.
+pub(crate) struct EngineSink {
+    /// Answers received so far.
+    pub answers: Relation,
+    /// `End` messages received (Thm 3.1: exactly 1 on success).
+    pub ends: u64,
+    /// Answers received after an `End` (Thm 3.1: 0).
+    pub post_end_answers: u64,
+}
+
+impl EngineSink {
+    pub(crate) fn new(arity: usize) -> EngineSink {
+        EngineSink {
+            answers: Relation::new(arity),
+            ends: 0,
+            post_end_answers: 0,
+        }
+    }
+
+    /// Consume one logical message at the engine endpoint. Returns
+    /// `Ok(true)` on `End`, `Ok(false)` to keep collecting, or a typed
+    /// error — never panics, whatever arrives.
+    pub(crate) fn engine_accept(&mut self, msg: Msg) -> Result<bool, RuntimeError> {
+        match msg.payload {
+            Payload::Answer { tuple } => self.answer(tuple)?,
+            Payload::AnswerBatch { tuples } => {
+                for tuple in tuples {
+                    self.answer(tuple)?;
+                }
+            }
+            Payload::End => {
+                self.ends += 1;
+                return Ok(true);
+            }
+            Payload::EndTupleRequest { .. } | Payload::EndTupleRequestBatch { .. } => {}
+            other => {
+                return Err(RuntimeError::UnexpectedEngineMessage {
+                    kind: other.kind_name(),
+                })
+            }
+        }
+        Ok(false)
+    }
+
+    fn answer(&mut self, tuple: Tuple) -> Result<(), RuntimeError> {
+        if self.ends > 0 {
+            self.post_end_answers += 1;
+        }
+        let got = tuple.arity();
+        self.answers
+            .insert(tuple)
+            .map(|_| ())
+            .map_err(|_| RuntimeError::AnswerArity {
+                expected: self.answers.arity(),
+                got,
+                partial_answers: self.answers.len(),
+            })
+    }
+}
+
+/// Crash a node and recover it, write-ahead-log style: bump its epoch,
+/// rebuild its computation state by replaying its durable `log` of
+/// processed messages through a clone of its `pristine` initial state,
+/// then announce the rebirth (`Reborn`, which aborts any wave in flight
+/// at the BFST parent) into `out` for the caller to send. Replayed
+/// outputs are discarded — they were already sent, and sequenced
+/// durably, before the crash — and a scratch stats sink keeps replayed
+/// work out of the run's counters.
+pub(crate) fn recover(
+    process: &mut Process,
+    pristine: &Process,
+    log: &[Msg],
+    epoch: &mut u64,
+    stats: &mut Stats,
+    mut tracer: Option<&mut Tracer>,
+    out: &mut Vec<Msg>,
+) {
+    stats.crashes += 1;
+    stats.epoch_bumps += 1;
+    *epoch += 1;
+    if let Some(tr) = tracer.as_mut() {
+        tr.on_crash(*epoch);
+    }
+    let mut fresh = pristine.clone();
+    let mut scratch = Stats::default();
+    let mut discard: Vec<Msg> = Vec::new();
+    let mut replayed: u64 = 0;
+    for m in log {
+        // Wave probes and replies are not replayed: protocol state
+        // resets at restart and is rebuilt by fresh epoch-tagged waves.
+        // `SccFinished` IS replayed — it is durable component state
+        // (finished, feeders released), not wave state.
+        if matches!(
+            m.payload,
+            Payload::EndRequest { .. }
+                | Payload::EndNegative { .. }
+                | Payload::EndConfirmed { .. }
+                | Payload::Reborn { .. }
+        ) {
+            continue;
+        }
+        let mut ctx = Ctx {
+            out: &mut discard,
+            stats: &mut scratch,
+            // Never report an empty mailbox during replay: a leader must
+            // not originate a probe wave whose messages would be
+            // discarded.
+            mailbox_empty: false,
+            pressure: false,
+            // Replayed deliveries were already recorded pre-crash.
+            tracer: None,
+        };
+        fresh.handle(m.clone(), &mut ctx);
+        discard.clear();
+        replayed += 1;
+    }
+    stats.replayed += replayed;
+    if let Some(tr) = tracer {
+        tr.on_recover(*epoch, replayed);
+    }
+    fresh.restarted(*epoch, out);
+    *process = fresh;
 }
 
 /// Build the typed governance error for a tripped run, after the cancel

@@ -7,15 +7,16 @@
 //! preserved because each node's mailbox is a queue). The random schedule
 //! is how the tests adversarially exercise Thm 3.1.
 //!
-//! With a [`FaultPlan`] attached, the reliable mailboxes are replaced by
-//! a faulty wire plus the self-healing transport of [`crate::fault`]:
-//! every logical message becomes a sequenced frame that can be dropped,
-//! duplicated, delayed, or corrupted; acks and retransmissions restore
-//! exactly-once FIFO delivery; and node crashes are recovered by
-//! replaying the node's durable message log through a pristine process
-//! clone (write-ahead-log semantics — see DESIGN.md). The fault path is
-//! a separate loop so the clean path stays byte-identical to the
-//! fault-free simulator.
+//! One scheduling loop serves every run. Without a [`FaultPlan`] a
+//! logical send lands in its mailbox at once: no sequence numbers, no
+//! per-link state. With a plan, each endpoint sends through its own
+//! [`Transport`] (the same recovery transport the threaded runtime uses)
+//! and the simulator only keeps the wire: frames are delivered in
+//! `(deliver_at, uid)` order on a clock of one tick per processed
+//! message. Drops, duplicates, delays and corruption are repaired by the
+//! transport's acks and retransmissions, and node crashes by
+//! [`recover`]ing the node's durable message log (write-ahead-log
+//! semantics — see DESIGN.md).
 //!
 //! Sharded evaluation needs no simulator changes: shard instances are
 //! ordinary physical processes, and the two-level termination wave —
@@ -25,12 +26,13 @@
 //! builds. The epoch tags and Mattern counters work unchanged because the
 //! captain links are counted like any other intra-component edge.
 
-use crate::fault::{endpoint_code, Accepted, CrashPoint, FaultPlan, ReceiverLink, SenderLink};
+use crate::fault::{FaultPlan, Frame, Transport};
 use crate::msg::{Endpoint, Msg, Payload};
 use crate::node::{Ctx, Network, Process};
 use crate::runtime::govern::{CancelToken, Governor, NodeUsage, QueryBudget, Trip};
 use crate::runtime::{
-    budget_error, describe_payload, trace_actor, RuntimeError, TRACE_RING_CAPACITY,
+    budget_error, describe_payload, initial_requests, recover, trace_actor, EngineSink,
+    RuntimeError, TRACE_RING_CAPACITY,
 };
 use crate::stats::Stats;
 use mp_storage::{Relation, Tuple};
@@ -43,9 +45,9 @@ use std::time::Instant;
 
 /// Event recording for a simulated run: one [`Tracer`] per node plus the
 /// engine, and per-link stamp queues standing in for the wire. Logical
-/// delivery on both sim paths is exactly-once FIFO per link (the fault
-/// path's transport guarantees it), so a front-pop always pairs a
-/// delivery with its send stamp.
+/// delivery is exactly-once FIFO per link (with a fault plan, the
+/// transport guarantees it), so a front-pop always pairs a delivery with
+/// its send stamp.
 pub(crate) struct SimTracing {
     n: usize,
     tracers: Vec<Tracer>,
@@ -95,12 +97,6 @@ impl SimTracing {
         self.tracers[actor].on_deliver(from, stamp.as_ref(), kind, items, wave, epoch);
     }
 
-    /// Record the engine observing the final `End`.
-    fn on_engine_end(&mut self) {
-        let n = self.n;
-        self.tracers[n].on_end();
-    }
-
     fn finish(self) -> Trace {
         mp_trace::collect((self.n + 1) as u32, &self.ring)
     }
@@ -140,8 +136,6 @@ pub struct SimOutcome {
 pub struct SimRuntime {
     /// Scheduling policy.
     pub schedule: Schedule,
-    /// Step budget (messages processed) before declaring divergence.
-    pub max_steps: u64,
     /// Record every routed message.
     pub trace: bool,
     /// Fault-injection plan; `None` runs the pristine 1986 model with
@@ -150,9 +144,9 @@ pub struct SimRuntime {
     /// Recover crashed nodes by log replay. With recovery disabled a
     /// scheduled crash aborts the run with [`RuntimeError::LinkDown`].
     pub recovery: bool,
-    /// Resource budget (logical messages, memory, deadline, mailbox
-    /// bound). `max_steps` above is the same guard the budget's
-    /// `max_steps` folds into — the engine keeps them in sync.
+    /// Resource budget: the step guard (`max_steps`, raising
+    /// [`RuntimeError::Diverged`]), the wall-clock deadline, logical
+    /// messages, memory, and the mailbox bound.
     pub budget: QueryBudget,
     /// Cooperative cancellation handle; tripping it triggers a cancel
     /// wave and a typed [`RuntimeError::Cancelled`].
@@ -163,7 +157,6 @@ impl Default for SimRuntime {
     fn default() -> Self {
         SimRuntime {
             schedule: Schedule::Fifo,
-            max_steps: 200_000_000,
             trace: false,
             fault_plan: None,
             recovery: true,
@@ -189,29 +182,8 @@ impl SimRuntime {
         network: &mut Network,
         requests: impl IntoIterator<Item = Tuple>,
     ) -> Result<SimOutcome, RuntimeError> {
-        let root = Endpoint::Node(network.root);
-        let mut initial = vec![Msg {
-            from: Endpoint::Engine,
-            to: root,
-            payload: Payload::RelationRequest,
-        }];
-        for b in requests {
-            initial.push(Msg {
-                from: Endpoint::Engine,
-                to: root,
-                payload: Payload::TupleRequest { binding: b },
-            });
-        }
-        initial.push(Msg {
-            from: Endpoint::Engine,
-            to: root,
-            payload: Payload::EndOfRequests,
-        });
-
-        match &self.fault_plan {
-            None => self.run_clean(network, initial, None),
-            Some(plan) => self.run_faulty(network, initial, plan.clone()),
-        }
+        let initial = initial_requests(network.root, requests);
+        self.drive(network, initial, self.fault_plan.as_ref(), &[])
     }
 
     /// Re-execute a recorded delivery schedule: at each step the next
@@ -231,368 +203,62 @@ impl SimRuntime {
         requests: impl IntoIterator<Item = Tuple>,
         activations: &[u32],
     ) -> Result<SimOutcome, RuntimeError> {
-        let root = Endpoint::Node(network.root);
-        let mut initial = vec![Msg {
-            from: Endpoint::Engine,
-            to: root,
-            payload: Payload::RelationRequest,
-        }];
-        for b in requests {
-            initial.push(Msg {
-                from: Endpoint::Engine,
-                to: root,
-                payload: Payload::TupleRequest { binding: b },
-            });
-        }
-        initial.push(Msg {
-            from: Endpoint::Engine,
-            to: root,
-            payload: Payload::EndOfRequests,
-        });
-        self.run_clean(network, initial, Some(activations))
+        let initial = initial_requests(network.root, requests);
+        self.drive(network, initial, None, activations)
     }
 
-    /// The pristine path: reliable atomic mailboxes, no transport layer,
-    /// no overhead — byte-identical message counts to the pre-fault
-    /// simulator.
-    fn run_clean(
+    /// The scheduling loop: deliver due wire frames, pick the next node
+    /// (recorded schedule, then FIFO or seeded random), process its
+    /// front message, route its outputs; run until quiescent.
+    fn drive(
         &self,
         network: &mut Network,
         initial: Vec<Msg>,
-        replay: Option<&[u32]>,
+        plan: Option<&FaultPlan>,
+        replay: &[u32],
     ) -> Result<SimOutcome, RuntimeError> {
         let n = network.processes.len();
-        let mut mailboxes: Vec<VecDeque<Msg>> = vec![VecDeque::new(); n];
-        let mut fifo_tokens: VecDeque<usize> = VecDeque::new();
+        let mut sim = Sim {
+            n,
+            mailboxes: vec![VecDeque::new(); n],
+            fifo_tokens: VecDeque::new(),
+            stats: Stats::default(),
+            trace: self.trace.then(Vec::new),
+            tracing: self.trace.then(|| SimTracing::new(n)),
+            sink: EngineSink::new(network.answer_arity),
+            governor: Governor::new(self.budget.clone(), self.cancel.clone()),
+            processed: vec![0; n],
+            wire: plan.map(|p| SimWire::new(network, p, &self.budget)),
+        };
         let mut rng = match self.schedule {
             Schedule::Fifo => None,
             Schedule::Random(seed) => Some(ChaCha8Rng::seed_from_u64(seed)),
         };
-        let mut stats = Stats::default();
-        let mut trace: Option<Vec<Msg>> = if self.trace { Some(Vec::new()) } else { None };
-        let mut tracing: Option<SimTracing> = if self.trace {
-            Some(SimTracing::new(n))
-        } else {
-            None
-        };
-        let mut engine_answers = Relation::new(network.answer_arity);
-        let mut engine_ends: u64 = 0;
-        let mut post_end_answers: u64 = 0;
-        let answer_arity = network.answer_arity;
-        let governor = Governor::new(self.budget.clone(), self.cancel.clone());
-        let mut processed: Vec<u64> = vec![0; n];
-        let started = Instant::now();
-        let mut trip: Option<Trip> = None;
-
-        let route = |msg: Msg,
-                     mailboxes: &mut Vec<VecDeque<Msg>>,
-                     fifo_tokens: &mut VecDeque<usize>,
-                     stats: &mut Stats,
-                     trace: &mut Option<Vec<Msg>>,
-                     tracing: &mut Option<SimTracing>,
-                     engine_answers: &mut Relation,
-                     engine_ends: &mut u64,
-                     post_end_answers: &mut u64|
-         -> Result<(), RuntimeError> {
-            stats.count_send(&msg.payload);
-            governor.note_messages(describe_payload(&msg.payload).1);
-            if let Some(t) = trace.as_mut() {
-                t.push(msg.clone());
-            }
-            if let Some(tr) = tracing.as_mut() {
-                tr.on_send(&msg);
-                // Engine-bound messages are consumed right here, so the
-                // delivery is recorded here too.
-                if msg.to == Endpoint::Engine {
-                    tr.on_deliver(&msg);
-                    if matches!(msg.payload, Payload::End) {
-                        tr.on_engine_end();
-                    }
-                }
-            }
-            match msg.to {
-                Endpoint::Engine => match msg.payload {
-                    Payload::Answer { tuple } => {
-                        if *engine_ends > 0 {
-                            *post_end_answers += 1;
-                        }
-                        let got = tuple.arity();
-                        if engine_answers.insert(tuple).is_err() {
-                            return Err(RuntimeError::AnswerArity {
-                                expected: answer_arity,
-                                got,
-                                partial_answers: engine_answers.len(),
-                            });
-                        }
-                    }
-                    Payload::AnswerBatch { tuples } => {
-                        for tuple in tuples {
-                            if *engine_ends > 0 {
-                                *post_end_answers += 1;
-                            }
-                            let got = tuple.arity();
-                            if engine_answers.insert(tuple).is_err() {
-                                return Err(RuntimeError::AnswerArity {
-                                    expected: answer_arity,
-                                    got,
-                                    partial_answers: engine_answers.len(),
-                                });
-                            }
-                        }
-                    }
-                    Payload::End => *engine_ends += 1,
-                    Payload::EndTupleRequest { .. } | Payload::EndTupleRequestBatch { .. } => {}
-                    other => {
-                        return Err(RuntimeError::UnexpectedEngineMessage {
-                            kind: other.kind_name(),
-                        })
-                    }
-                },
-                Endpoint::Node(id) => {
-                    governor.note_enqueue(msg.payload.approx_bytes());
-                    mailboxes[id].push_back(msg);
-                    stats.mailbox_high_water =
-                        stats.mailbox_high_water.max(mailboxes[id].len() as u64);
-                    fifo_tokens.push_back(id);
-                }
-            }
-            Ok(())
-        };
-
         for m in initial {
-            route(
-                m,
-                &mut mailboxes,
-                &mut fifo_tokens,
-                &mut stats,
-                &mut trace,
-                &mut tracing,
-                &mut engine_answers,
-                &mut engine_ends,
-                &mut post_end_answers,
-            )?;
+            sim.send(m)?;
         }
 
         let mut out: Vec<Msg> = Vec::new();
         let mut steps: u64 = 0;
         let mut replay_cursor = 0usize;
+        let started = Instant::now();
+        let mut trip: Option<Trip> = None;
         loop {
             // Resource-governance trip: on the first observed trip,
             // broadcast one cancel wave to every node and keep
             // scheduling. Cancelled nodes drain their mailboxes without
             // producing more answers (MP310), so the loop reaches
             // quiescence and returns the typed error below instead of
-            // aborting mid-protocol with frames still in flight.
-            if trip.is_none() {
-                if let Some(t) = governor.tripped() {
-                    trip = Some(t);
-                    stats.cancel_waves += 1;
-                    for id in 0..n {
-                        route(
-                            Msg {
-                                from: Endpoint::Engine,
-                                to: Endpoint::Node(id),
-                                payload: Payload::Cancel { wave: 1, epoch: 0 },
-                            },
-                            &mut mailboxes,
-                            &mut fifo_tokens,
-                            &mut stats,
-                            &mut trace,
-                            &mut tracing,
-                            &mut engine_answers,
-                            &mut engine_ends,
-                            &mut post_end_answers,
-                        )?;
-                    }
-                }
-            }
-            // A recorded schedule takes precedence; its activations with
-            // an empty mailbox are skipped (the recorded run may contain
-            // protocol traffic a re-execution doesn't reproduce 1:1) and
-            // FIFO finishes whatever the recording doesn't cover.
-            let mut next = None;
-            if let Some(acts) = replay {
-                while replay_cursor < acts.len() {
-                    let id = acts[replay_cursor] as usize;
-                    replay_cursor += 1;
-                    if id < n && !mailboxes[id].is_empty() {
-                        next = Some(id);
-                        break;
-                    }
-                }
-            }
-            if next.is_none() {
-                next = match &mut rng {
-                    None => loop {
-                        match fifo_tokens.pop_front() {
-                            Some(id) if !mailboxes[id].is_empty() => break Some(id),
-                            Some(_) => continue,
-                            None => break None,
-                        }
-                    },
-                    Some(rng) => {
-                        let nonempty: Vec<usize> =
-                            (0..n).filter(|&i| !mailboxes[i].is_empty()).collect();
-                        if nonempty.is_empty() {
-                            None
-                        } else {
-                            Some(nonempty[rng.gen_range(0..nonempty.len())])
-                        }
-                    }
-                };
-            }
-            let Some(id) = next else { break };
-            let Some(msg) = mailboxes[id].pop_front() else {
-                continue;
-            };
-            governor.note_dequeue(msg.payload.approx_bytes());
-            steps += 1;
-            if steps > self.max_steps {
-                return Err(RuntimeError::Diverged { steps });
-            }
-            // Wall-clock and arena sampling are amortized: a syscall and
-            // an interner read every 1024 steps keep the unlimited-
-            // budget clean path within noise of the ungoverned loop.
-            if steps.is_multiple_of(1024) {
-                governor.sample_arena();
-                if started.elapsed() >= self.budget.deadline {
-                    return Err(RuntimeError::Timeout {
-                        budget_millis: self.budget.deadline.as_millis() as u64,
-                        elapsed_millis: started.elapsed().as_millis() as u64,
-                        partial_answers: engine_answers.len(),
-                        pending: (0..n)
-                            .map(|i| (i, mailboxes[i].len()))
-                            .filter(|&(_, d)| d > 0)
-                            .collect(),
-                        unjoined: Vec::new(),
-                    });
-                }
-            }
-            if let Some(tr) = tracing.as_mut() {
-                tr.on_deliver(&msg);
-            }
-            let mut ctx = Ctx {
-                out: &mut out,
-                stats: &mut stats,
-                mailbox_empty: mailboxes[id].is_empty(),
-                // Flow control lives on the recovery transport; the
-                // pristine path has no stalled frames.
-                pressure: false,
-                tracer: tracing.as_mut().map(|t| &mut t.tracers[id]),
-            };
-            network.processes[id].handle(msg, &mut ctx);
-            processed[id] += 1;
-            for m in out.drain(..) {
-                route(
-                    m,
-                    &mut mailboxes,
-                    &mut fifo_tokens,
-                    &mut stats,
-                    &mut trace,
-                    &mut tracing,
-                    &mut engine_answers,
-                    &mut engine_ends,
-                    &mut post_end_answers,
-                )?;
-            }
-        }
-
-        governor.sample_arena();
-        stats.mem_high_water_bytes = governor.mem_high_water();
-        if let Some(t) = trip {
-            let accounting = (0..n)
-                .map(|i| NodeUsage {
-                    node: i,
-                    shard: network.shard_of.get(i).map_or(0, |&(_, s)| s),
-                    messages_processed: processed[i],
-                    mailbox_depth: mailboxes[i].len(),
-                    mem_bytes: mailboxes[i].iter().map(|m| m.payload.approx_bytes()).sum(),
-                })
-                .collect();
-            return Err(budget_error(
-                t,
-                &governor,
-                engine_answers.iter().cloned().collect(),
-                accounting,
-                stats.cancel_waves,
-            ));
-        }
-        if engine_ends == 0 {
-            return Err(RuntimeError::NoTermination);
-        }
-        Ok(SimOutcome {
-            answers: engine_answers,
-            stats,
-            trace,
-            events: tracing.map(SimTracing::finish),
-            engine_ends,
-            post_end_answers,
-        })
-    }
-
-    /// The fault path: every link goes through the sequenced, acked,
-    /// retransmitting transport; the fault plan perturbs the wire; node
-    /// crashes are recovered by durable-log replay.
-    fn run_faulty(
-        &self,
-        network: &mut Network,
-        initial: Vec<Msg>,
-        plan: FaultPlan,
-    ) -> Result<SimOutcome, RuntimeError> {
-        let n = network.processes.len();
-        let mut sim = FaultySim {
-            plan,
-            recovery: self.recovery,
-            governor: Governor::new(self.budget.clone(), self.cancel.clone()),
-            window: self.budget.mailbox_bound.map(|b| b as u64),
-            intra: network.intra_pairs(),
-            pristine: network.processes.clone(),
-            mailboxes: vec![VecDeque::new(); n],
-            fifo_tokens: VecDeque::new(),
-            logs: vec![Vec::new(); n],
-            processed: vec![0; n],
-            epochs: vec![0; n],
-            senders: BTreeMap::new(),
-            receivers: BTreeMap::new(),
-            wire: BTreeMap::new(),
-            wire_uid: 0,
-            now: 0,
-            stats: Stats::default(),
-            trace: if self.trace { Some(Vec::new()) } else { None },
-            tracing: if self.trace {
-                Some(SimTracing::new(n))
-            } else {
-                None
-            },
-            engine_answers: Relation::new(network.answer_arity),
-            engine_ends: 0,
-            post_end_answers: 0,
-            answer_arity: network.answer_arity,
-        };
-        let mut rng = match self.schedule {
-            Schedule::Fifo => None,
-            Schedule::Random(seed) => Some(ChaCha8Rng::seed_from_u64(seed)),
-        };
-
-        for m in initial {
-            sim.logical_send(m)?;
-        }
-
-        let mut out: Vec<Msg> = Vec::new();
-        let mut steps: u64 = 0;
-        let started = Instant::now();
-        let mut trip: Option<Trip> = None;
-        loop {
-            // Same trip discipline as the clean path, but the cancel
-            // wave rides the recovery transport: each Cancel frame is
-            // sequenced and logged, so a node that crashes mid-drain
-            // re-learns its cancellation from log replay.
+            // aborting mid-protocol with frames still in flight. On the
+            // wire the Cancel frames are sequenced and logged like any
+            // other, so a node that crashes mid-drain re-learns its
+            // cancellation from log replay.
             if trip.is_none() {
                 if let Some(t) = sim.governor.tripped() {
                     trip = Some(t);
                     sim.stats.cancel_waves += 1;
                     for id in 0..n {
-                        sim.logical_send(Msg {
+                        sim.send(Msg {
                             from: Endpoint::Engine,
                             to: Endpoint::Node(id),
                             payload: Payload::Cancel { wave: 1, epoch: 0 },
@@ -602,89 +268,101 @@ impl SimRuntime {
             }
             sim.deliver_due()?;
 
-            let next = match &mut rng {
-                None => loop {
-                    match sim.fifo_tokens.pop_front() {
-                        Some(id) if !sim.mailboxes[id].is_empty() => break Some(id),
-                        Some(_) => continue,
-                        None => break None,
-                    }
-                },
-                Some(rng) => {
-                    let nonempty: Vec<usize> =
-                        (0..n).filter(|&i| !sim.mailboxes[i].is_empty()).collect();
-                    if nonempty.is_empty() {
-                        None
-                    } else {
-                        Some(nonempty[rng.gen_range(0..nonempty.len())])
-                    }
+            // A recorded schedule takes precedence; its activations with
+            // an empty mailbox are skipped (the recorded run may contain
+            // protocol traffic a re-execution doesn't reproduce 1:1) and
+            // FIFO finishes whatever the recording doesn't cover.
+            let mut next = None;
+            while next.is_none() && replay_cursor < replay.len() {
+                let id = replay[replay_cursor] as usize;
+                replay_cursor += 1;
+                if id < n && !sim.mailboxes[id].is_empty() {
+                    next = Some(id);
                 }
-            };
-
-            match next {
-                Some(id) => {
-                    let Some(msg) = sim.mailboxes[id].pop_front() else {
-                        continue;
-                    };
-                    sim.governor.note_dequeue(msg.payload.approx_bytes());
-                    steps += 1;
-                    sim.now += 1;
-                    if steps > self.max_steps {
-                        return Err(RuntimeError::Diverged { steps });
-                    }
-                    if steps.is_multiple_of(1024) {
-                        sim.governor.sample_arena();
-                        if started.elapsed() >= self.budget.deadline {
-                            return Err(RuntimeError::Timeout {
-                                budget_millis: self.budget.deadline.as_millis() as u64,
-                                elapsed_millis: started.elapsed().as_millis() as u64,
-                                partial_answers: sim.engine_answers.len(),
-                                pending: (0..n)
-                                    .map(|i| (i, sim.mailboxes[i].len()))
-                                    .filter(|&(_, d)| d > 0)
-                                    .collect(),
-                                unjoined: Vec::new(),
-                            });
+            }
+            if next.is_none() {
+                next = match &mut rng {
+                    None => loop {
+                        match sim.fifo_tokens.pop_front() {
+                            Some(id) if !sim.mailboxes[id].is_empty() => break Some(id),
+                            Some(_) => continue,
+                            None => break None,
+                        }
+                    },
+                    Some(rng) => {
+                        let nonempty: Vec<usize> =
+                            (0..n).filter(|&i| !sim.mailboxes[i].is_empty()).collect();
+                        if nonempty.is_empty() {
+                            None
+                        } else {
+                            Some(nonempty[rng.gen_range(0..nonempty.len())])
                         }
                     }
-                    if let Some(tr) = sim.tracing.as_mut() {
-                        tr.on_deliver(&msg);
-                    }
-                    let pressure = sim.node_pressure(id);
-                    let mut ctx = Ctx {
-                        out: &mut out,
-                        stats: &mut sim.stats,
-                        mailbox_empty: sim.mailboxes[id].is_empty(),
-                        pressure,
-                        tracer: sim.tracing.as_mut().map(|t| &mut t.tracers[id]),
-                    };
-                    network.processes[id].handle(msg, &mut ctx);
-                    sim.processed[id] += 1;
-                    for m in out.drain(..) {
-                        sim.logical_send(m)?;
-                    }
-                    sim.maybe_crash(network, id, &mut out)?;
-                    // Periodic retransmission scan: the probe protocol
-                    // keeps the network busy forever when a message is
-                    // lost (the Mattern counters block conclusion), so
-                    // quiescence alone must not gate retransmission.
-                    if steps.is_multiple_of(64) {
-                        sim.retransmit_scan(false)?;
-                    }
+                };
+            }
+            let Some(id) = next else {
+                // Nothing deliverable. On the wire, advance time to the
+                // next frame or force a retransmission round; stop once
+                // everything is drained and acked.
+                if sim.wire_pending()? {
+                    continue;
                 }
-                None => {
-                    // No deliverable message. Advance time to the next
-                    // wire event, or force a retransmission round, or —
-                    // with everything drained and acked — stop.
-                    if let Some((&(t, _), _)) = sim.wire.iter().next() {
-                        sim.now = sim.now.max(t);
-                        continue;
-                    }
-                    if sim.retransmit_scan(true)? {
-                        sim.now += 1;
-                        continue;
-                    }
-                    break;
+                break;
+            };
+            let Some(msg) = sim.mailboxes[id].pop_front() else {
+                continue;
+            };
+            sim.governor.note_dequeue(msg.payload.approx_bytes());
+            steps += 1;
+            if steps > self.budget.max_steps {
+                return Err(RuntimeError::Diverged { steps });
+            }
+            // Wall-clock and arena sampling are amortized: a syscall and
+            // an interner read every 1024 steps keep the unlimited-
+            // budget clean path within noise of the ungoverned loop.
+            if steps.is_multiple_of(1024) {
+                sim.governor.sample_arena();
+                if started.elapsed() >= self.budget.deadline {
+                    return Err(RuntimeError::Timeout {
+                        budget_millis: self.budget.deadline.as_millis() as u64,
+                        elapsed_millis: started.elapsed().as_millis() as u64,
+                        partial_answers: sim.sink.answers.len(),
+                        pending: (0..n)
+                            .map(|i| (i, sim.mailboxes[i].len()))
+                            .filter(|&(_, d)| d > 0)
+                            .collect(),
+                        unjoined: Vec::new(),
+                    });
+                }
+            }
+            if let Some(tr) = sim.tracing.as_mut() {
+                tr.on_deliver(&msg);
+            }
+            if let Some(w) = sim.wire.as_mut() {
+                w.now += 1;
+                w.logs[id].push(msg.clone());
+            }
+            let mut ctx = Ctx {
+                out: &mut out,
+                stats: &mut sim.stats,
+                mailbox_empty: sim.mailboxes[id].is_empty(),
+                // Flow control lives on the recovery transport.
+                pressure: sim.wire.as_ref().is_some_and(|w| w.links[id].pressure()),
+                tracer: sim.tracing.as_mut().map(|t| &mut t.tracers[id]),
+            };
+            network.processes[id].handle(msg, &mut ctx);
+            sim.processed[id] += 1;
+            for m in out.drain(..) {
+                sim.send(m)?;
+            }
+            if sim.wire.is_some() {
+                sim.maybe_crash(network, id, self.recovery, &mut out)?;
+                // Periodic retransmission scan: the probe protocol keeps
+                // the network busy forever when a message is lost (the
+                // Mattern counters block conclusion), so quiescence
+                // alone must not gate retransmission.
+                if steps.is_multiple_of(64) {
+                    sim.tick(false)?;
                 }
             }
         }
@@ -707,81 +385,30 @@ impl SimRuntime {
             return Err(budget_error(
                 t,
                 &sim.governor,
-                sim.engine_answers.iter().cloned().collect(),
+                sim.sink.answers.iter().cloned().collect(),
                 accounting,
                 sim.stats.cancel_waves,
             ));
         }
-        if sim.engine_ends == 0 {
+        if sim.sink.ends == 0 {
             return Err(RuntimeError::NoTermination);
         }
         Ok(SimOutcome {
-            answers: sim.engine_answers,
+            answers: sim.sink.answers,
             stats: sim.stats,
             trace: sim.trace,
             events: sim.tracing.map(SimTracing::finish),
-            engine_ends: sim.engine_ends,
-            post_end_answers: sim.post_end_answers,
+            engine_ends: sim.sink.ends,
+            post_end_answers: sim.sink.post_end_answers,
         })
     }
 }
 
-/// One frame on the faulty wire. `link` is always the *data* direction
-/// `(sender, receiver)`; ack frames travel against it.
-#[derive(Clone, Debug)]
-enum Frame {
-    /// A sequenced data frame.
-    Data {
-        /// The data link `(from, to)`.
-        link: (Endpoint, Endpoint),
-        /// Transport sequence number on that link.
-        seq: u64,
-        /// The logical message.
-        msg: Msg,
-        /// Checksum failure injected in flight: discarded on arrival.
-        corrupted: bool,
-    },
-    /// A cumulative ack for `link`, traveling receiver → sender.
-    Ack {
-        /// The data link being acknowledged.
-        link: (Endpoint, Endpoint),
-        /// Everything below this sequence number is delivered.
-        upto: u64,
-    },
-}
-
-/// All state of one fault-injected simulation run.
-struct FaultySim {
-    plan: FaultPlan,
-    recovery: bool,
-    /// Resource accounting and trip state for this run.
-    governor: Governor,
-    /// Credit window (frames in flight per link) derived from the
-    /// budget's mailbox bound; `None` = unlimited (pre-governance
-    /// behavior).
-    window: Option<u64>,
-    /// Directed node pairs inside nontrivial strong components; their
-    /// links are never windowed (deadlock freedom — see
-    /// [`Network::intra_pairs`]).
-    intra: BTreeSet<(usize, usize)>,
-    /// Pristine process clones for crash recovery (initial state).
-    pristine: Vec<Process>,
+/// All state of one simulated run.
+struct Sim {
+    n: usize,
     mailboxes: Vec<VecDeque<Msg>>,
     fifo_tokens: VecDeque<usize>,
-    /// Durable per-node logs of every delivered message, in delivery
-    /// order. `logs[i][..processed[i]]` is the replay prefix; the
-    /// suffix is exactly the node's current mailbox.
-    logs: Vec<Vec<Msg>>,
-    processed: Vec<u64>,
-    /// Restart generation per node.
-    epochs: Vec<u64>,
-    senders: BTreeMap<(Endpoint, Endpoint), SenderLink>,
-    receivers: BTreeMap<(Endpoint, Endpoint), ReceiverLink>,
-    /// In-flight frames, keyed by `(deliver_at, uid)` — a deterministic
-    /// total order.
-    wire: BTreeMap<(u64, u64), Frame>,
-    wire_uid: u64,
-    now: u64,
     stats: Stats,
     trace: Option<Vec<Msg>>,
     /// Event recording (same flag as `trace`). Records *logical* sends
@@ -789,43 +416,85 @@ struct FaultySim {
     /// below the exactly-once line are invisible to the trace, which is
     /// what makes the batching-invariance and FIFO invariants checkable.
     tracing: Option<SimTracing>,
-    engine_answers: Relation,
-    engine_ends: u64,
-    post_end_answers: u64,
-    answer_arity: usize,
+    sink: EngineSink,
+    /// Resource accounting and trip state for this run.
+    governor: Governor,
+    processed: Vec<u64>,
+    /// The faulty wire; `None` on the pristine path.
+    wire: Option<SimWire>,
 }
 
-impl FaultySim {
-    /// The credit window for `link`: the budget's mailbox bound on
-    /// cross-component links and the engine injector, unlimited on
-    /// intra-component links (a window that stalls a recursive answer
-    /// its own producer transitively waits on could deadlock the
-    /// cycle).
-    fn link_window(&self, link: (Endpoint, Endpoint)) -> Option<u64> {
-        let intra = match (link.0, link.1) {
-            (Endpoint::Node(a), Endpoint::Node(b)) => self.intra.contains(&(a, b)),
-            _ => false,
-        };
-        if intra {
-            None
-        } else {
-            self.window
+/// The fault path's state: one [`Transport`] per endpoint (nodes, then
+/// the engine at index `n`), the frames in flight, and what crash
+/// recovery needs.
+struct SimWire {
+    links: Vec<Transport>,
+    /// In-flight frames keyed by `(deliver_at, uid)` — a deterministic
+    /// total order — with their destination.
+    frames: BTreeMap<(u64, u64), (Endpoint, Frame)>,
+    uid: u64,
+    /// The clock: one tick per processed message.
+    now: u64,
+    /// Pristine process clones for crash recovery (initial state).
+    pristine: Vec<Process>,
+    /// Durable per-node logs of every processed message, in order.
+    logs: Vec<Vec<Msg>>,
+    /// Restart generation per node.
+    epochs: Vec<u64>,
+}
+
+impl SimWire {
+    fn new(network: &Network, plan: &FaultPlan, budget: &QueryBudget) -> SimWire {
+        let n = network.processes.len();
+        // The credit window derives from the budget's mailbox bound;
+        // links inside nontrivial strong components are never windowed
+        // (deadlock freedom — see [`Network::intra_peers`]).
+        let window = budget.mailbox_bound.map(|b| b as u64);
+        let mut intra = network.intra_peers();
+        intra.push(BTreeSet::new());
+        let links = intra
+            .into_iter()
+            .enumerate()
+            .map(|(i, unwindowed)| {
+                let me = if i < n {
+                    Endpoint::Node(i)
+                } else {
+                    Endpoint::Engine
+                };
+                Transport::new(me, plan.clone(), window, unwindowed)
+            })
+            .collect();
+        SimWire {
+            links,
+            frames: BTreeMap::new(),
+            uid: 0,
+            now: 0,
+            pristine: network.processes.clone(),
+            logs: vec![Vec::new(); n],
+            epochs: vec![0; n],
         }
     }
 
-    /// True when any of `id`'s outgoing links holds window-stalled
-    /// frames — the node's [`Ctx::pressure`] input.
-    fn node_pressure(&self, id: usize) -> bool {
-        self.senders
-            .iter()
-            .any(|(l, s)| l.0 == Endpoint::Node(id) && s.stalled() > 0)
+    fn index(&self, ep: Endpoint) -> usize {
+        ep.node().unwrap_or(self.links.len() - 1)
     }
 
+    /// Move endpoint `i`'s emitted frames onto the wire, one tick of
+    /// latency plus any injected delay away.
+    fn flush(&mut self, i: usize) {
+        for w in self.links[i].drain() {
+            self.frames
+                .insert((self.now + 1 + w.delay, self.uid), (w.to, w.frame));
+            self.uid += 1;
+        }
+    }
+}
+
+impl Sim {
     /// A logical send: counted once (retransmissions and wire duplicates
-    /// never inflate the message counters), then framed onto the wire —
-    /// unless the link's credit window is full, in which case the frame
-    /// waits in the sender's durable buffer until acks free credits.
-    fn logical_send(&mut self, msg: Msg) -> Result<(), RuntimeError> {
+    /// never inflate the message counters), then delivered — at once on
+    /// the pristine path, through the sender's transport on the wire.
+    fn send(&mut self, msg: Msg) -> Result<(), RuntimeError> {
         self.stats.count_send(&msg.payload);
         self.governor
             .note_messages(describe_payload(&msg.payload).1);
@@ -835,198 +504,34 @@ impl FaultySim {
         if let Some(tr) = self.tracing.as_mut() {
             tr.on_send(&msg);
         }
-        let link = (msg.from, msg.to);
-        let window = self.link_window(link);
-        let sender = self.senders.entry(link).or_insert_with(|| SenderLink {
-            window,
-            ..SenderLink::default()
-        });
-        let seq = sender.send(msg.clone(), self.now);
-        if sender.admit(seq) {
-            self.transmit(link, seq, msg, 0);
-        } else {
-            self.stats.credits_stalled += 1;
-        }
-        Ok(())
-    }
-
-    /// Put one copy of a data frame on the wire, consulting the fault
-    /// plan for its fate.
-    fn transmit(&mut self, link: (Endpoint, Endpoint), seq: u64, msg: Msg, attempt: u32) {
-        let fate = self
-            .plan
-            .fate(endpoint_code(link.0), endpoint_code(link.1), seq, attempt);
-        if fate.dropped {
-            self.stats.fault_dropped += 1;
-            return;
-        }
-        if fate.corrupted {
-            self.stats.fault_corrupted += 1;
-        }
-        if fate.delay > 0 {
-            self.stats.fault_delayed += 1;
-        }
-        let deliver_at = self.now + 1 + fate.delay;
-        self.push_wire(
-            deliver_at,
-            Frame::Data {
-                link,
-                seq,
-                msg: msg.clone(),
-                corrupted: fate.corrupted,
-            },
-        );
-        if fate.duplicated {
-            self.stats.fault_duplicated += 1;
-            self.push_wire(
-                deliver_at + 1,
-                Frame::Data {
-                    link,
-                    seq,
-                    msg,
-                    corrupted: false,
-                },
-            );
-        }
-    }
-
-    /// Send a cumulative ack for `link` back to its sender. Acks ride
-    /// the same faulty wire (dropped or delayed acks are repaired by
-    /// the next ack or a retransmission — they are cumulative), but are
-    /// never duplicated or corrupted: a corrupt ack is just a lost ack.
-    fn send_ack(&mut self, link: (Endpoint, Endpoint), upto: u64) {
-        self.stats.acks += 1;
-        let uid = self.wire_uid; // distinct hash input per ack frame
-        let fate = self
-            .plan
-            .fate(endpoint_code(link.1), endpoint_code(link.0), uid, u32::MAX);
-        if fate.dropped || fate.corrupted {
-            self.stats.fault_dropped += 1;
-            return;
-        }
-        let deliver_at = self.now + 1 + fate.delay;
-        self.push_wire(deliver_at, Frame::Ack { link, upto });
-    }
-
-    fn push_wire(&mut self, deliver_at: u64, frame: Frame) {
-        let uid = self.wire_uid;
-        self.wire_uid += 1;
-        self.wire.insert((deliver_at, uid), frame);
-    }
-
-    /// Deliver every wire frame due at or before `now`.
-    fn deliver_due(&mut self) -> Result<(), RuntimeError> {
-        while let Some((&(t, _), _)) = self.wire.first_key_value() {
-            if t > self.now {
-                break;
-            }
-            let Some((_, frame)) = self.wire.pop_first() else {
-                break;
-            };
-            self.deliver_frame(frame)?;
-        }
-        Ok(())
-    }
-
-    fn deliver_frame(&mut self, frame: Frame) -> Result<(), RuntimeError> {
-        match frame {
-            Frame::Ack { link, upto } => {
-                let released = match self.senders.get_mut(&link) {
-                    Some(s) => {
-                        s.ack_upto(upto);
-                        // Freed credits admit stalled frames, in order.
-                        s.release()
-                    }
-                    None => Vec::new(),
-                };
-                for (seq, msg) in released {
-                    self.transmit(link, seq, msg, 0);
-                }
+        match self.wire.as_mut() {
+            None => self.arrive(msg),
+            Some(w) => {
+                let i = w.index(msg.from);
+                w.links[i].send(msg, None, w.now, &mut self.stats);
+                w.flush(i);
                 Ok(())
             }
-            Frame::Data {
-                link,
-                seq,
-                msg,
-                corrupted,
-            } => {
-                if corrupted {
-                    // Detected checksum failure: discard; no ack, so the
-                    // sender retransmits a clean copy.
-                    return Ok(());
-                }
-                let receiver = self.receivers.entry(link).or_default();
-                match receiver.accept(seq, msg) {
-                    Accepted::Deliver(msgs) => {
-                        let upto = receiver.next_expected;
-                        self.send_ack(link, upto);
-                        for m in msgs {
-                            self.deliver_msg(m)?;
-                        }
-                        Ok(())
-                    }
-                    Accepted::Duplicate => {
-                        let upto = receiver.next_expected;
-                        self.stats.dups_discarded += 1;
-                        self.send_ack(link, upto);
-                        Ok(())
-                    }
-                    Accepted::Buffered => Ok(()),
-                }
-            }
         }
     }
 
-    /// Record one answer tuple at the engine endpoint.
-    fn engine_answer(&mut self, tuple: mp_storage::Tuple) -> Result<(), RuntimeError> {
-        if self.engine_ends > 0 {
-            self.post_end_answers += 1;
-        }
-        let got = tuple.arity();
-        if self.engine_answers.insert(tuple).is_err() {
-            return Err(RuntimeError::AnswerArity {
-                expected: self.answer_arity,
-                got,
-                partial_answers: self.engine_answers.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Final, in-order, exactly-once delivery of a logical message.
-    fn deliver_msg(&mut self, msg: Msg) -> Result<(), RuntimeError> {
-        // Engine-bound messages are consumed right here, so their
-        // delivery is recorded here; node-bound ones are recorded at
-        // mailbox pop, when the node actually processes them.
-        if msg.to == Endpoint::Engine {
-            if let Some(tr) = self.tracing.as_mut() {
-                tr.on_deliver(&msg);
-                if matches!(msg.payload, Payload::End) {
-                    tr.on_engine_end();
-                }
-            }
-        }
+    /// Final, in-order, exactly-once delivery of a logical message:
+    /// engine-bound messages are consumed (and their delivery recorded)
+    /// here; node-bound ones are queued, and recorded when the node
+    /// processes them.
+    fn arrive(&mut self, msg: Msg) -> Result<(), RuntimeError> {
         match msg.to {
-            Endpoint::Engine => match msg.payload {
-                Payload::Answer { tuple } => self.engine_answer(tuple),
-                Payload::AnswerBatch { tuples } => {
-                    for tuple in tuples {
-                        self.engine_answer(tuple)?;
+            Endpoint::Engine => {
+                if let Some(tr) = self.tracing.as_mut() {
+                    tr.on_deliver(&msg);
+                    if matches!(msg.payload, Payload::End) {
+                        tr.tracers[self.n].on_end();
                     }
-                    Ok(())
                 }
-                Payload::End => {
-                    self.engine_ends += 1;
-                    Ok(())
-                }
-                Payload::EndTupleRequest { .. } | Payload::EndTupleRequestBatch { .. } => Ok(()),
-                other => Err(RuntimeError::UnexpectedEngineMessage {
-                    kind: other.kind_name(),
-                }),
-            },
+                self.sink.engine_accept(msg).map(|_| ())
+            }
             Endpoint::Node(id) => {
                 self.governor.note_enqueue(msg.payload.approx_bytes());
-                self.logs[id].push(msg.clone());
                 self.mailboxes[id].push_back(msg);
                 self.stats.mailbox_high_water = self
                     .stats
@@ -1038,147 +543,91 @@ impl FaultySim {
         }
     }
 
-    /// Crash the node if its processed-message count hit a scheduled
-    /// crash point, then recover it by replaying the durable log through
-    /// a pristine clone (or abort, with recovery disabled).
+    /// Deliver every wire frame due at or before the current tick.
+    fn deliver_due(&mut self) -> Result<(), RuntimeError> {
+        loop {
+            let Some(w) = self.wire.as_mut() else {
+                return Ok(());
+            };
+            let Some(entry) = w.frames.first_entry() else {
+                return Ok(());
+            };
+            if entry.key().0 > w.now {
+                return Ok(());
+            }
+            let (to, frame) = entry.remove();
+            let i = w.index(to);
+            let mut delivered = Vec::new();
+            w.links[i].receive(frame, &mut self.stats, &mut delivered);
+            w.flush(i);
+            for (m, _) in delivered {
+                self.arrive(m)?;
+            }
+        }
+    }
+
+    /// Nothing deliverable: on the wire, advance the clock to the next
+    /// frame in flight or force a retransmission round. False on the
+    /// pristine path, and once everything is delivered and acked.
+    fn wire_pending(&mut self) -> Result<bool, RuntimeError> {
+        let Some(w) = self.wire.as_mut() else {
+            return Ok(false);
+        };
+        if let Some((&(t, _), _)) = w.frames.first_key_value() {
+            w.now = w.now.max(t);
+            return Ok(true);
+        }
+        let any = self.tick(true)?;
+        if let (true, Some(w)) = (any, self.wire.as_mut()) {
+            w.now += 1;
+        }
+        Ok(any)
+    }
+
+    /// Retransmission tick on every endpoint, in endpoint order.
+    fn tick(&mut self, force: bool) -> Result<bool, RuntimeError> {
+        let Some(w) = self.wire.as_mut() else {
+            return Ok(false);
+        };
+        let mut any = false;
+        for i in 0..w.links.len() {
+            any |= w.links[i].tick(w.now, force, &mut self.stats)?;
+            w.flush(i);
+        }
+        Ok(any)
+    }
+
+    /// Crash node `id` if its processed-message count hit a scheduled
+    /// crash point, then recover it (or abort, with recovery disabled).
     fn maybe_crash(
         &mut self,
         network: &mut Network,
         id: usize,
+        recovery: bool,
         out: &mut Vec<Msg>,
     ) -> Result<(), RuntimeError> {
-        let hit = self
-            .plan
-            .crashes
-            .iter()
-            .any(|c: &CrashPoint| c.node == id && c.after_processed == self.processed[id]);
-        if !hit {
+        let Some(w) = self.wire.as_mut() else {
+            return Ok(());
+        };
+        if !w.links[id].plan().crash_at(id, self.processed[id]) {
             return Ok(());
         }
-        if !self.recovery {
+        if !recovery {
             return Err(RuntimeError::LinkDown { node: id });
         }
-        self.stats.crashes += 1;
-        self.epochs[id] += 1;
-        self.stats.epoch_bumps += 1;
-        if let Some(tr) = self.tracing.as_mut() {
-            tr.tracers[id].on_crash(self.epochs[id]);
-        }
-
-        // Volatile transport state into the node is lost; the senders'
-        // unacked buffers (durable, like a WAL) retransmit the contents.
-        for (link, r) in self.receivers.iter_mut() {
-            if link.1 == Endpoint::Node(id) {
-                r.clear_volatile();
-            }
-        }
-
-        // Rebuild computation state: pristine clone + deterministic
-        // replay of the processed log prefix. Outputs are discarded —
-        // they were already sent (and sequenced durably) pre-crash. The
-        // mailbox (the log suffix) survives as-is. A scratch stats sink
-        // keeps replayed work out of the run's counters.
-        let mut fresh = self.pristine[id].clone();
-        let mut scratch = Stats::default();
-        let mut discard: Vec<Msg> = Vec::new();
-        let prefix = self.processed[id] as usize;
-        let mut replayed_here: u64 = 0;
-        for m in self.logs[id].iter().take(prefix) {
-            // Wave probes and replies are deliberately not replayed:
-            // protocol state resets at restart and is rebuilt by fresh
-            // epoch-tagged waves. `SccFinished` IS replayed — it is
-            // durable component state (finished, feeders released), not
-            // wave state.
-            let skip = matches!(
-                m.payload,
-                Payload::EndRequest { .. }
-                    | Payload::EndNegative { .. }
-                    | Payload::EndConfirmed { .. }
-                    | Payload::Reborn { .. }
-            );
-            if skip {
-                continue;
-            }
-            let mut ctx = Ctx {
-                out: &mut discard,
-                stats: &mut scratch,
-                // Never report an empty mailbox during replay: a leader
-                // must not originate a probe wave whose messages would
-                // be discarded.
-                mailbox_empty: false,
-                pressure: false,
-                // Replayed deliveries were already recorded pre-crash;
-                // recording them again would double-count.
-                tracer: None,
-            };
-            fresh.handle(m.clone(), &mut ctx);
-            discard.clear();
-            self.stats.replayed += 1;
-            replayed_here += 1;
-        }
-        if let Some(tr) = self.tracing.as_mut() {
-            tr.tracers[id].on_recover(self.epochs[id], replayed_here);
-        }
-        // Announce the rebirth (aborts any wave in flight at the BFST
-        // parent) with the bumped epoch.
-        fresh.restarted(self.epochs[id], out);
-        network.processes[id] = fresh;
+        w.links[id].crash();
+        recover(
+            &mut network.processes[id],
+            &w.pristine[id],
+            &w.logs[id],
+            &mut w.epochs[id],
+            &mut self.stats,
+            self.tracing.as_mut().map(|t| &mut t.tracers[id]),
+            out,
+        );
         for m in out.drain(..) {
-            self.logical_send(m)?;
+            self.send(m)?;
         }
         Ok(())
-    }
-
-    /// Retransmit unacked messages: links idle past the plan's
-    /// `retransmit_after` horizon, or — when `force` is set because the
-    /// network is otherwise quiescent — every link with unacked traffic.
-    /// Returns whether anything was put back on the wire.
-    fn retransmit_scan(&mut self, force: bool) -> Result<bool, RuntimeError> {
-        let due: Vec<(Endpoint, Endpoint)> = self
-            .senders
-            .iter()
-            .filter(|(_, s)| {
-                if force {
-                    !s.unacked.is_empty()
-                } else {
-                    s.due(self.now, self.plan.retransmit_after)
-                }
-            })
-            .map(|(&l, _)| l)
-            .collect();
-        let mut any = false;
-        for link in due {
-            let (retries, frames) = {
-                let Some(s) = self.senders.get_mut(&link) else {
-                    continue;
-                };
-                s.retries += 1;
-                s.last_activity = self.now;
-                // Admit whatever the window now covers (the release
-                // bumps `wire_hi`), then retransmit only frames that
-                // have been on the wire: stalled frames beyond the
-                // window are never forced out by a timer.
-                let _ = s.release();
-                let frames: Vec<(u64, Msg)> = s
-                    .unacked
-                    .range(..s.wire_hi)
-                    .map(|(&q, m)| (q, m.clone()))
-                    .collect();
-                (s.retries, frames)
-            };
-            if retries > self.plan.max_retries {
-                return Err(RuntimeError::RetransmitExhausted {
-                    from: link.0.node().unwrap_or(usize::MAX),
-                    to: link.1.node().unwrap_or(usize::MAX),
-                    retries,
-                });
-            }
-            for (seq, msg) in frames {
-                self.stats.retransmits += 1;
-                self.transmit(link, seq, msg, retries);
-                any = true;
-            }
-        }
-        Ok(any)
     }
 }

@@ -26,18 +26,15 @@
 //! belt-and-braces backstop making the handoff between consecutive
 //! activations on different workers a proper synchronization edge.
 //!
-//! With a [`FaultPlan`] attached, every logical send is wrapped in the
-//! sequenced/acked/retransmitting transport of [`crate::fault`]: nodes
-//! exchange `Data`/`Ack` frames instead of bare messages, workers tick
-//! their assigned nodes every [`TICK`] to release delayed frames,
-//! retransmit unacked ones and give idle nodes their probe-origination
-//! nudge, and scheduled crashes are recovered by replaying the node's
-//! durable message log through a pristine process clone — the same
-//! write-ahead-log semantics as the simulator (see DESIGN.md). Fault
-//! fates are pure functions of `(seed, link, seq, attempt)`, so a plan
-//! injects the same faults on the same logical message stream as the
-//! simulator does. The clean path (`fault_plan: None`) sends `Plain`
-//! frames with no sequence numbers, no acks, and no ticks — zero
+//! With a [`FaultPlan`] attached, every endpoint sends through its own
+//! [`Transport`] — the simulator's recovery transport, on a clock of
+//! milliseconds since the run started. Nodes exchange its `Data`/`Ack`
+//! frames instead of bare messages; the pool only posts them (holding
+//! delayed ones back), and workers tick their assigned nodes every
+//! [`TICK`] to release delayed frames, retransmit unacked ones and give
+//! idle nodes their probe-origination nudge. Scheduled crashes run the
+//! simulator's [`recover`]. The clean path (`fault_plan: None`) sends
+//! `Plain` frames with no sequence numbers, no acks, and no ticks — zero
 //! transport overhead.
 //!
 //! Sharded evaluation is likewise invisible here: the pool schedules
@@ -46,21 +43,22 @@
 //! same deterministic hasher as the simulator, so both runtimes split
 //! traffic across shard links identically; the two-level termination
 //! wave rides the captain-extended BFST compiled into each instance's
-//! `TermState`, and those captain links are registered as intra pairs so
+//! `TermState`, and those captain links are registered as intra peers so
 //! the credit window never throttles the wave (see DESIGN.md).
 
-use crate::fault::{endpoint_code, Accepted, CrashPoint, FaultPlan, ReceiverLink, SenderLink};
+use crate::fault::{FaultPlan, Frame, Item, Transport};
 use crate::msg::{Endpoint, Msg, Payload};
 use crate::node::{Ctx, Network, Process};
 use crate::runtime::govern::{CancelToken, Governor, NodeUsage, QueryBudget, Trip};
 use crate::runtime::{
-    budget_error, describe_payload, trace_actor, RuntimeError, TRACE_RING_CAPACITY,
+    budget_error, describe_payload, initial_requests, recover, trace_actor, EngineSink,
+    RuntimeError, TRACE_RING_CAPACITY,
 };
 use crate::stats::Stats;
 use crossbeam_channel::{unbounded, RecvTimeoutError, Sender};
 use mp_storage::{Relation, Tuple};
 use mp_trace::{Event, Ring, Stamp, Trace, Tracer};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -86,28 +84,14 @@ const MAINTENANCE_EVERY: usize = 64;
 
 /// What actually travels through a mailbox. The clean path sends `Plain`
 /// logical messages — the mailbox itself is the reliable FIFO link. The
-/// fault path sends sequenced `Data` frames and cumulative `Ack`s, with
-/// the link identified by the frame's endpoints (`msg.from` for data,
-/// `peer` for acks).
+/// fault path sends the recovery transport's frames.
 #[derive(Clone, Debug)]
 enum TMsg {
     /// A logical message on the reliable clean path, with its causal
     /// stamp when tracing is on (`None` otherwise — zero tracing cost).
     Plain(Msg, Option<Stamp>),
-    /// A sequenced data frame on the faulty path.
-    Data {
-        seq: u64,
-        msg: Msg,
-        /// Checksum failure injected in flight: discarded on arrival.
-        corrupted: bool,
-        /// Causal stamp of the logical send, when tracing is on.
-        /// Retransmissions carry the *same* stamp — one logical send,
-        /// one stamp, however many frames it takes.
-        stamp: Option<Stamp>,
-    },
-    /// Cumulative ack: everything `peer` received below `upto` on the
-    /// link from this endpoint is delivered.
-    Ack { peer: Endpoint, upto: u64 },
+    /// A transport frame on the faulty path.
+    Frame(Frame),
     /// A node hit a fatal condition (crash with recovery disabled,
     /// retransmission budget exhausted); routed to the engine, which
     /// aborts the run with the carried error.
@@ -144,9 +128,11 @@ struct SchedState {
     max_queue_depth: u64,
 }
 
-/// The shared fabric of one pool run: mailboxes and the scheduler.
+/// The shared fabric of one pool run: mailboxes, the engine's channel,
+/// and the scheduler.
 struct PoolNet {
     mailboxes: Vec<Mailbox>,
+    engine_tx: Sender<TMsg>,
     sched: Mutex<SchedState>,
     cv: Condvar,
     /// Shared resource accounting: every enqueue/dequeue is charged to
@@ -161,8 +147,9 @@ struct PoolNet {
 /// free.
 fn frame_bytes(f: &TMsg) -> u64 {
     match f {
-        TMsg::Plain(m, _) | TMsg::Data { msg: m, .. } => m.payload.approx_bytes(),
-        TMsg::Ack { .. } | TMsg::Fatal(_) => 0,
+        TMsg::Plain(m, _) => m.payload.approx_bytes(),
+        TMsg::Frame(f) => f.approx_bytes(),
+        TMsg::Fatal(_) => 0,
     }
 }
 
@@ -178,8 +165,9 @@ enum Task {
 }
 
 impl PoolNet {
-    fn new(n: usize, workers: usize, governor: Arc<Governor>) -> PoolNet {
+    fn new(n: usize, workers: usize, governor: Arc<Governor>, engine_tx: Sender<TMsg>) -> PoolNet {
         PoolNet {
+            engine_tx,
             mailboxes: (0..n)
                 .map(|_| Mailbox {
                     q: Mutex::new(VecDeque::new()),
@@ -204,6 +192,18 @@ impl PoolNet {
 
     fn n_nodes(&self) -> usize {
         self.mailboxes.len()
+    }
+
+    /// Send a frame to an endpoint: the engine's channel, or a node's
+    /// mailbox. A failed engine send means the engine stopped
+    /// collecting; the run is already being torn down.
+    fn send(&self, to: Endpoint, frame: TMsg, hint: Option<usize>) {
+        match to {
+            Endpoint::Engine => {
+                let _ = self.engine_tx.send(frame);
+            }
+            Endpoint::Node(t) => self.post(t, frame, hint),
+        }
     }
 
     /// Deliver a frame to a node's mailbox; if the node was unscheduled,
@@ -331,135 +331,44 @@ impl PoolNet {
     }
 }
 
-/// Per-endpoint transport state: logical sends, fault-injected framing,
-/// ack bookkeeping, delayed-frame release, and retransmission. With
-/// `plan: None` it degenerates to counting stats and forwarding `Plain`
-/// frames. Node transports live inside the node's [`NodeState`] (driven
-/// by whichever worker holds the activation); the engine thread owns its
-/// own.
-struct Transport {
-    me: Endpoint,
-    plan: Option<FaultPlan>,
+/// One endpoint's I/O on the pool. Logical sends go out as `Plain`
+/// frames, or — with a fault plan — through the endpoint's recovery
+/// [`Transport`], whose wire frames the port posts (holding delayed ones
+/// back until their time comes). Node ports live inside the node's
+/// [`NodeState`] (driven by whichever worker holds the activation); the
+/// engine thread owns its own.
+struct Port {
     start: Instant,
     net: Arc<PoolNet>,
-    engine_tx: Sender<TMsg>,
     /// The worker currently driving this endpoint (`None` on the engine
     /// thread): its deque receives the activations this endpoint's sends
     /// trigger.
     hint: Option<usize>,
-    outgoing: BTreeMap<Endpoint, SenderLink>,
-    incoming: BTreeMap<Endpoint, ReceiverLink>,
-    /// Shared resource accounting (logical-message budget).
-    governor: Arc<Governor>,
-    /// Credit window (frames in flight per link) from the budget's
-    /// mailbox bound; `None` = unlimited.
-    window: Option<u64>,
-    /// Directed node pairs inside nontrivial strong components; their
-    /// links are never windowed (deadlock freedom — see
-    /// [`Network::intra_pairs`]).
-    intra: Arc<BTreeSet<(usize, usize)>>,
-    /// Frames held back by an injected delay, with their release time.
-    delayed: Vec<(Instant, Endpoint, TMsg)>,
-    /// Distinct hash input per ack frame (acks have no sequence number).
-    ack_uid: u64,
+    /// The recovery transport; `None` on the clean path.
+    link: Option<Transport>,
+    /// Frames held back by an injected delay, with their release time
+    /// in transport-clock milliseconds.
+    held: Vec<(u64, Endpoint, Frame)>,
     stats: Stats,
     /// Event recorder for this endpoint; `None` when tracing is off.
     tracer: Option<Tracer>,
-    /// Stamps of unacked sends, keyed by `(destination, seq)`, so
-    /// retransmissions carry the original stamp. Pruned on ack.
-    out_stamps: BTreeMap<(Endpoint, u64), Stamp>,
-    /// Stamps of frames buffered out of order at the receiver, keyed by
-    /// `(source, seq)`, popped when the frame becomes deliverable.
-    in_stamps: BTreeMap<(Endpoint, u64), Stamp>,
 }
 
-impl Transport {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        me: Endpoint,
-        plan: Option<FaultPlan>,
-        start: Instant,
-        net: Arc<PoolNet>,
-        engine_tx: Sender<TMsg>,
-        tracer: Option<Tracer>,
-        window: Option<u64>,
-        intra: Arc<BTreeSet<(usize, usize)>>,
-    ) -> Transport {
-        let governor = Arc::clone(&net.governor);
-        Transport {
-            me,
-            plan,
-            start,
-            net,
-            engine_tx,
-            hint: None,
-            outgoing: BTreeMap::new(),
-            incoming: BTreeMap::new(),
-            governor,
-            window,
-            intra,
-            delayed: Vec::new(),
-            ack_uid: 0,
-            stats: Stats::default(),
-            tracer,
-            out_stamps: BTreeMap::new(),
-            in_stamps: BTreeMap::new(),
-        }
-    }
-
-    /// Number of node endpoints (the engine is actor `n` in the trace).
-    fn n_nodes(&self) -> usize {
-        self.net.n_nodes()
-    }
-
+impl Port {
     /// Milliseconds since the run started — the transport clock.
     fn now_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
     }
 
-    fn send_frame(&self, to: Endpoint, frame: TMsg) {
-        // A failed engine send means the engine stopped collecting; the
-        // run is already being torn down.
-        match to {
-            Endpoint::Engine => {
-                let _ = self.engine_tx.send(frame);
-            }
-            Endpoint::Node(t) => self.net.post(t, frame, self.hint),
-        }
-    }
-
-    /// The credit window for the link to `to`: the budget's mailbox
-    /// bound on cross-component links and the engine injector,
-    /// unlimited on intra-component links (a window that stalls a
-    /// recursive answer its own producer transitively waits on could
-    /// deadlock the cycle).
-    fn link_window(&self, to: Endpoint) -> Option<u64> {
-        let intra = match (self.me, to) {
-            (Endpoint::Node(a), Endpoint::Node(b)) => self.intra.contains(&(a, b)),
-            _ => false,
-        };
-        if intra {
-            None
-        } else {
-            self.window
-        }
-    }
-
-    /// True when any outgoing link holds window-stalled frames — the
-    /// node's [`Ctx::pressure`] input.
-    fn under_pressure(&self) -> bool {
-        self.window.is_some() && self.outgoing.values().any(|s| s.stalled() > 0)
-    }
-
     /// A logical send: counted once (retransmissions and wire duplicates
     /// never inflate the message counters), stamped when tracing, then
-    /// framed — unless the link's credit window is full, in which case
-    /// the frame waits in the sender's durable buffer until acks free
-    /// credits.
+    /// posted — as a `Plain` frame, or through the transport.
     fn send_logical(&mut self, m: Msg) {
         self.stats.count_send(&m.payload);
-        self.governor.note_messages(describe_payload(&m.payload).1);
-        let n = self.n_nodes();
+        self.net
+            .governor
+            .note_messages(describe_payload(&m.payload).1);
+        let n = self.net.n_nodes();
         let stamp = self.tracer.as_mut().map(|tr| {
             let (kind, items, wave, epoch) = describe_payload(&m.payload);
             if items > 1 {
@@ -467,257 +376,97 @@ impl Transport {
             }
             tr.on_send(trace_actor(m.to, n), kind, items, wave, epoch)
         });
-        if self.plan.is_none() {
-            self.send_frame(m.to, TMsg::Plain(m, stamp));
-            return;
-        }
-        let to = m.to;
-        let now = self.now_ms();
-        let window = self.link_window(to);
-        let link = self.outgoing.entry(to).or_insert_with(|| SenderLink {
-            window,
-            ..SenderLink::default()
-        });
-        let seq = link.send(m.clone(), now);
-        let admitted = link.admit(seq);
-        if let Some(s) = stamp {
-            self.out_stamps.insert((to, seq), s);
-        }
-        if admitted {
-            self.transmit(to, seq, m, 0);
-        } else {
-            self.stats.credits_stalled += 1;
-        }
-    }
-
-    /// Put one copy of a data frame on the wire, consulting the fault
-    /// plan for its fate.
-    fn transmit(&mut self, to: Endpoint, seq: u64, msg: Msg, attempt: u32) {
-        let Some(plan) = &self.plan else {
-            return;
-        };
-        let fate = plan.fate(endpoint_code(self.me), endpoint_code(to), seq, attempt);
-        if fate.dropped {
-            self.stats.fault_dropped += 1;
-            return;
-        }
-        if fate.corrupted {
-            self.stats.fault_corrupted += 1;
-        }
-        let stamp = self.out_stamps.get(&(to, seq)).cloned();
-        let frame = TMsg::Data {
-            seq,
-            msg: msg.clone(),
-            corrupted: fate.corrupted,
-            stamp: stamp.clone(),
-        };
-        if fate.delay > 0 {
-            self.stats.fault_delayed += 1;
-            self.delayed.push((
-                Instant::now() + Duration::from_millis(fate.delay),
-                to,
-                frame,
-            ));
-        } else {
-            self.send_frame(to, frame);
-        }
-        if fate.duplicated {
-            self.stats.fault_duplicated += 1;
-            self.delayed.push((
-                Instant::now() + Duration::from_millis(fate.delay + 1),
-                to,
-                TMsg::Data {
-                    seq,
-                    msg,
-                    corrupted: false,
-                    stamp,
-                },
-            ));
-        }
-    }
-
-    /// Accept one data frame from `from`; returns the logical messages
-    /// now deliverable in order, each paired with its causal stamp
-    /// (empty for duplicates and reorder gaps).
-    fn accept_data(
-        &mut self,
-        from: Endpoint,
-        seq: u64,
-        msg: Msg,
-        stamp: Option<Stamp>,
-    ) -> Vec<(Msg, Option<Stamp>)> {
-        let (accepted, base, upto) = {
-            let rl = self.incoming.entry(from).or_default();
-            // Capture `next_expected` BEFORE accepting: a stale
-            // duplicate (seq below it) must not park a stamp that
-            // nothing will ever pop.
-            let base = rl.next_expected;
-            if seq >= base {
-                if let Some(s) = stamp {
-                    self.in_stamps.entry((from, seq)).or_insert(s);
-                }
+        match self.link.as_mut() {
+            None => self.net.send(m.to, TMsg::Plain(m, stamp), self.hint),
+            Some(link) => {
+                let now = self.start.elapsed().as_millis() as u64;
+                link.send(m, stamp, now, &mut self.stats);
+                self.flush(now);
             }
-            let a = rl.accept(seq, msg);
-            (a, base, rl.next_expected)
-        };
-        match accepted {
-            Accepted::Deliver(msgs) => {
-                self.send_ack(from, upto);
-                // In-order release: the delivered run is exactly the
-                // sequence window `base..upto`.
-                msgs.into_iter()
-                    .enumerate()
-                    .map(|(i, m)| (m, self.in_stamps.remove(&(from, base + i as u64))))
-                    .collect()
-            }
-            Accepted::Duplicate => {
-                self.stats.dups_discarded += 1;
-                self.send_ack(from, upto);
-                Vec::new()
-            }
-            Accepted::Buffered => Vec::new(),
         }
     }
 
-    /// Send a cumulative ack back to `to`. Acks ride the same faulty
-    /// wire (a lost ack is repaired by the next one — they are
-    /// cumulative) but are never duplicated; a corrupt ack is just a
-    /// lost ack.
-    fn send_ack(&mut self, to: Endpoint, upto: u64) {
-        self.ack_uid += 1;
-        let uid = self.ack_uid;
-        let Some(plan) = &self.plan else {
+    /// Post the transport's emitted frames: on-time ones now, delayed
+    /// ones into `held`.
+    fn flush(&mut self, now: u64) {
+        let Some(link) = self.link.as_mut() else {
             return;
         };
-        self.stats.acks += 1;
-        let n = self.n_nodes();
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.on_ack(trace_actor(to, n), upto);
-        }
-        let fate = plan.fate(endpoint_code(self.me), endpoint_code(to), uid, u32::MAX);
-        if fate.dropped || fate.corrupted {
-            self.stats.fault_dropped += 1;
-            return;
-        }
-        let frame = TMsg::Ack {
-            peer: self.me,
-            upto,
-        };
-        if fate.delay > 0 {
-            self.delayed.push((
-                Instant::now() + Duration::from_millis(fate.delay),
-                to,
-                frame,
-            ));
-        } else {
-            self.send_frame(to, frame);
-        }
-    }
-
-    fn on_ack(&mut self, peer: Endpoint, upto: u64) {
-        let released = match self.outgoing.get_mut(&peer) {
-            Some(s) => {
-                s.ack_upto(upto);
-                // Freed credits admit stalled frames, in order.
-                s.release()
+        let n = self.net.n_nodes();
+        for w in link.drain() {
+            if let (Some(tr), Frame::Ack { upto, .. }) = (self.tracer.as_mut(), &w.frame) {
+                tr.on_ack(trace_actor(w.to, n), *upto);
             }
-            None => Vec::new(),
-        };
-        // Acked sends can never be retransmitted; drop their stamps.
-        if !self.out_stamps.is_empty() {
-            self.out_stamps.retain(|&(p, s), _| p != peer || s >= upto);
-        }
-        for (seq, msg) in released {
-            self.transmit(peer, seq, msg, 0);
-        }
-    }
-
-    /// Release every delayed frame whose time has come.
-    fn flush_delayed(&mut self) {
-        if self.delayed.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        let mut i = 0;
-        while i < self.delayed.len() {
-            if self.delayed[i].0 <= now {
-                let (_, to, frame) = self.delayed.swap_remove(i);
-                self.send_frame(to, frame);
+            if w.delay == 0 {
+                self.net.send(w.to, TMsg::Frame(w.frame), self.hint);
             } else {
-                i += 1;
+                self.held.push((now + w.delay, w.to, w.frame));
             }
         }
     }
 
-    /// Retransmit unacked messages on links idle past the plan's
-    /// `retransmit_after` horizon (interpreted as milliseconds here).
-    fn retransmit_due(&mut self) -> Result<(), RuntimeError> {
-        let (after, max_retries) = match &self.plan {
-            Some(p) => (p.retransmit_after, p.max_retries),
-            None => return Ok(()),
-        };
+    /// Hand an arriving transport frame to the transport; appends the
+    /// logical messages now deliverable, in order, to `got`.
+    fn receive(&mut self, frame: Frame, got: &mut Vec<Item>) {
         let now = self.now_ms();
-        let due: Vec<Endpoint> = self
-            .outgoing
-            .iter()
-            .filter(|(_, s)| s.due(now, after))
-            .map(|(&to, _)| to)
-            .collect();
-        for to in due {
-            let (retries, frames) = {
-                let Some(s) = self.outgoing.get_mut(&to) else {
-                    continue;
-                };
-                s.retries += 1;
-                s.last_activity = now;
-                // Admit whatever the window now covers, then retransmit
-                // only frames that have been on the wire: stalled
-                // frames beyond the window are never forced out by a
-                // timer.
-                let _ = s.release();
-                let frames: Vec<(u64, Msg)> = s
-                    .unacked
-                    .range(..s.wire_hi)
-                    .map(|(&q, m)| (q, m.clone()))
-                    .collect();
-                (s.retries, frames)
-            };
-            if retries > max_retries {
-                return Err(RuntimeError::RetransmitExhausted {
-                    from: self.me.node().unwrap_or(usize::MAX),
-                    to: to.node().unwrap_or(usize::MAX),
-                    retries,
-                });
-            }
-            for (seq, msg) in frames {
-                self.stats.retransmits += 1;
-                self.transmit(to, seq, msg, retries);
+        if let Some(link) = self.link.as_mut() {
+            link.receive(frame, &mut self.stats, got);
+        }
+        self.flush(now);
+    }
+
+    /// Record a logical delivery at this endpoint.
+    fn on_deliver(&mut self, m: &Msg, stamp: Option<&Stamp>) {
+        let n = self.net.n_nodes();
+        if let Some(tr) = self.tracer.as_mut() {
+            let (kind, items, wave, epoch) = describe_payload(&m.payload);
+            tr.on_deliver(trace_actor(m.from, n), stamp, kind, items, wave, epoch);
+        }
+    }
+
+    /// Fault-mode maintenance: release delayed frames whose time has
+    /// come, then tick the transport (retransmission).
+    fn maintain(&mut self) -> Result<(), RuntimeError> {
+        let now = self.now_ms();
+        if !self.held.is_empty() {
+            let (due, later) = std::mem::take(&mut self.held)
+                .into_iter()
+                .partition(|h| h.0 <= now);
+            self.held = later;
+            for (_, to, frame) in due {
+                self.net.send(to, TMsg::Frame(frame), self.hint);
             }
         }
+        if let Some(link) = self.link.as_mut() {
+            link.tick(now, false, &mut self.stats)?;
+        }
+        self.flush(now);
         Ok(())
+    }
+
+    /// True when an outgoing link holds window-stalled frames — the
+    /// node's [`Ctx::pressure`] input.
+    fn pressure(&self) -> bool {
+        self.link.as_ref().is_some_and(Transport::pressure)
     }
 }
 
-/// One node's state: its process, transport endpoint, durable message
-/// log, and crash/recovery bookkeeping. Behind a mutex so consecutive
-/// activations on different workers hand the state off with a proper
-/// synchronization edge (the scheduled bit already makes the lock
-/// uncontended).
+/// One node's state: its process, port, durable message log, and
+/// crash/recovery bookkeeping. Behind a mutex so consecutive activations
+/// on different workers hand the state off with a proper synchronization
+/// edge (the scheduled bit already makes the lock uncontended).
 struct NodeState {
     id: usize,
     process: Process,
     /// Initial-state clone for crash recovery (fault mode only).
     pristine: Option<Process>,
     recovery: bool,
-    /// This node's scheduled crash points.
-    crashes: Vec<CrashPoint>,
-    t: Transport,
-    /// Durable log of every processed message, in processing order.
+    port: Port,
+    /// Durable log of every processed message (fault mode only).
     log: Vec<Msg>,
     /// Restart generation.
     epoch: u64,
-    /// Logical messages processed (budget accounting; the durable log
-    /// only exists in fault mode, so this is counted separately).
+    /// Logical messages processed.
     processed: u64,
     /// Reusable output buffer for `Process::handle`.
     scratch: Vec<Msg>,
@@ -731,172 +480,93 @@ impl NodeState {
     fn handle_frame(&mut self, frame: TMsg, mb: &Mailbox) {
         match frame {
             TMsg::Plain(msg, stamp) => {
-                if !self.process_msg(msg, stamp, mb) {
+                if !self.step(Some((msg, stamp)), mb) {
                     self.fatal = true;
                 }
             }
-            TMsg::Data {
-                seq,
-                msg,
-                corrupted,
-                stamp,
-            } => {
-                if !corrupted {
-                    let from = msg.from;
-                    for (m, s) in self.t.accept_data(from, seq, msg, stamp) {
-                        if !self.process_msg(m, s, mb) {
-                            self.fatal = true;
-                            break;
-                        }
+            TMsg::Frame(f) => {
+                let mut got = Vec::new();
+                self.port.receive(f, &mut got);
+                for item in got {
+                    if !self.fatal && !self.step(Some(item), mb) {
+                        self.fatal = true;
                     }
                 }
             }
-            TMsg::Ack { peer, upto } => self.t.on_ack(peer, upto),
             // Fatal frames are addressed to the engine only.
             TMsg::Fatal(_) => {}
         }
     }
 
-    /// Idle-time nudge: give the process its batch-flush / probe-
+    /// Run the process on one delivered logical message, or — with
+    /// `None` — give it its idle poke: the batch-flush / probe-
     /// origination chance when the mailbox has drained without a logical
-    /// message (see [`Process::poke`]). Not logged: poke output is
-    /// protocol state, which crash recovery deliberately rebuilds from
-    /// fresh waves rather than replay.
-    fn poke(&mut self, mb: &Mailbox) {
-        let mailbox_empty = mb.q.lock().unwrap().is_empty();
-        let pressure = self.t.under_pressure();
+    /// message (see [`Process::poke`]). Pokes are not logged: their
+    /// output is protocol state, which crash recovery deliberately
+    /// rebuilds from fresh waves rather than replay. Returns `false`
+    /// when the node must stop (crash with recovery disabled).
+    fn step(&mut self, msg: Option<Item>, mb: &Mailbox) -> bool {
+        if let Some((m, stamp)) = &msg {
+            if self.port.link.is_some() {
+                self.log.push(m.clone());
+            }
+            self.port.on_deliver(m, stamp.as_ref());
+        }
+        let pressure = self.port.pressure();
         let mut ctx = Ctx {
             out: &mut self.scratch,
-            stats: &mut self.t.stats,
-            mailbox_empty,
+            stats: &mut self.port.stats,
+            mailbox_empty: mb.q.lock().unwrap().is_empty(),
             pressure,
-            tracer: self.t.tracer.as_mut(),
+            tracer: self.port.tracer.as_mut(),
         };
-        self.process.poke(&mut ctx);
+        let handled = msg.is_some();
+        match msg {
+            Some((m, _)) => {
+                self.process.handle(m, &mut ctx);
+                self.processed += 1;
+            }
+            None => self.process.poke(&mut ctx),
+        }
         for m in self.scratch.drain(..) {
-            self.t.send_logical(m);
+            self.port.send_logical(m);
         }
-    }
-
-    /// Handle one delivered logical message; returns `false` when the
-    /// node must stop (crash with recovery disabled).
-    fn process_msg(&mut self, msg: Msg, stamp: Option<Stamp>, mb: &Mailbox) -> bool {
-        if self.t.plan.is_some() {
-            self.log.push(msg.clone());
-        }
-        let n = self.t.n_nodes();
-        if let Some(tr) = self.t.tracer.as_mut() {
-            let (kind, items, wave, epoch) = describe_payload(&msg.payload);
-            tr.on_deliver(
-                trace_actor(msg.from, n),
-                stamp.as_ref(),
-                kind,
-                items,
-                wave,
-                epoch,
-            );
-        }
-        let mailbox_empty = mb.q.lock().unwrap().is_empty();
-        let pressure = self.t.under_pressure();
-        let mut ctx = Ctx {
-            out: &mut self.scratch,
-            stats: &mut self.t.stats,
-            mailbox_empty,
-            pressure,
-            tracer: self.t.tracer.as_mut(),
-        };
-        self.process.handle(msg, &mut ctx);
-        self.processed += 1;
-        for m in self.scratch.drain(..) {
-            self.t.send_logical(m);
-        }
-        self.maybe_crash()
+        !handled || self.maybe_crash()
     }
 
     /// Crash the node if its processed-message count hit a scheduled
-    /// crash point, then recover it by replaying the durable log through
-    /// a pristine clone (or report a fatal error, with recovery
-    /// disabled). Mirrors the simulator's recovery exactly.
+    /// crash point, then [`recover`] it (or report a fatal error, with
+    /// recovery disabled) — the simulator's recovery, shared.
     fn maybe_crash(&mut self) -> bool {
-        if self.crashes.is_empty() {
+        let Some(link) = self.port.link.as_mut() else {
             return true;
-        }
-        let processed = self.log.len() as u64;
-        if !self.crashes.iter().any(|c| c.after_processed == processed) {
+        };
+        if !link.plan().crash_at(self.id, self.processed) {
             return true;
         }
         if !self.recovery {
-            let _ = self
-                .t
-                .engine_tx
-                .send(TMsg::Fatal(RuntimeError::LinkDown { node: self.id }));
+            self.port.net.send(
+                Endpoint::Engine,
+                TMsg::Fatal(RuntimeError::LinkDown { node: self.id }),
+                None,
+            );
             return false;
         }
-        let mut fresh = match &self.pristine {
-            Some(p) => p.clone(),
-            None => return true,
+        let Some(pristine) = &self.pristine else {
+            return true;
         };
-        self.t.stats.crashes += 1;
-        self.epoch += 1;
-        self.t.stats.epoch_bumps += 1;
-        if let Some(tr) = self.t.tracer.as_mut() {
-            tr.on_crash(self.epoch);
-        }
-
-        // Volatile transport state into the node is lost; the senders'
-        // unacked buffers (durable, like a WAL) retransmit the contents.
-        for r in self.t.incoming.values_mut() {
-            r.clear_volatile();
-        }
-
-        // Rebuild computation state: pristine clone + deterministic
-        // replay of the durable log. Outputs are discarded — they were
-        // already sent (and sequenced durably) pre-crash. Wave probes
-        // and replies are not replayed: protocol state resets at restart
-        // and is rebuilt by fresh epoch-tagged waves. `SccFinished` IS
-        // replayed — durable component state, not wave state. A scratch
-        // stats sink keeps replayed work out of the run's counters.
-        let mut scratch_stats = Stats::default();
-        let mut discard: Vec<Msg> = Vec::new();
-        let mut replayed: u64 = 0;
-        for m in &self.log {
-            let skip = matches!(
-                m.payload,
-                Payload::EndRequest { .. }
-                    | Payload::EndNegative { .. }
-                    | Payload::EndConfirmed { .. }
-                    | Payload::Reborn { .. }
-            );
-            if skip {
-                continue;
-            }
-            let mut ctx = Ctx {
-                out: &mut discard,
-                stats: &mut scratch_stats,
-                // Never report an empty mailbox during replay: a leader
-                // must not originate a probe wave whose messages would
-                // be discarded.
-                mailbox_empty: false,
-                pressure: false,
-                // Replayed deliveries were already recorded pre-crash;
-                // recording them again would double-count.
-                tracer: None,
-            };
-            fresh.handle(m.clone(), &mut ctx);
-            discard.clear();
-            replayed += 1;
-        }
-        self.t.stats.replayed += replayed;
-        if let Some(tr) = self.t.tracer.as_mut() {
-            tr.on_recover(self.epoch, replayed);
-        }
-        self.process = fresh;
-        // Announce the rebirth (aborts any wave in flight at the BFST
-        // parent) with the bumped epoch.
-        let mut out: Vec<Msg> = Vec::new();
-        self.process.restarted(self.epoch, &mut out);
-        for m in out {
-            self.t.send_logical(m);
+        link.crash();
+        recover(
+            &mut self.process,
+            pristine,
+            &self.log,
+            &mut self.epoch,
+            &mut self.port.stats,
+            self.port.tracer.as_mut(),
+            &mut self.scratch,
+        );
+        for m in self.scratch.drain(..) {
+            self.port.send_logical(m);
         }
         true
     }
@@ -904,9 +574,8 @@ impl NodeState {
     /// Fault-mode transport maintenance; reports a fatal retransmission
     /// exhaustion to the engine.
     fn maintain(&mut self) {
-        self.t.flush_delayed();
-        if let Err(e) = self.t.retransmit_due() {
-            let _ = self.t.engine_tx.send(TMsg::Fatal(e));
+        if let Err(e) = self.port.maintain() {
+            self.port.net.send(Endpoint::Engine, TMsg::Fatal(e), None);
             self.fatal = true;
         }
     }
@@ -952,7 +621,7 @@ impl PoolWorker {
         let mb = &self.net.mailboxes[id];
         {
             let mut st = self.nodes[id].lock().unwrap();
-            st.t.hint = Some(self.id);
+            st.port.hint = Some(self.id);
             // Cooperative cancellation check at the activation boundary:
             // a tripped budget quiesces the node now, without waiting
             // for the engine's cancel wave to traverse a deep mailbox.
@@ -999,59 +668,13 @@ impl PoolWorker {
             {
                 let mut st = self.nodes[id].lock().unwrap();
                 if !st.fatal {
-                    st.t.hint = Some(self.id);
-                    st.poke(mb);
+                    st.port.hint = Some(self.id);
+                    st.step(None, mb);
                     st.maintain();
                 }
             }
             self.net.reschedule_if_nonempty(id, Some(self.id));
         }
-    }
-}
-
-/// Consume one logical message at the engine endpoint. Returns `Ok(true)`
-/// on the final `End`, `Ok(false)` to keep collecting, or a typed error —
-/// never panics, whatever arrives.
-fn engine_accept(
-    msg: Msg,
-    answers: &mut Relation,
-    engine_ends: &mut u64,
-    post_end_answers: &mut u64,
-    answer_arity: usize,
-) -> Result<bool, RuntimeError> {
-    let mut accept_one = |tuple: mp_storage::Tuple| -> Result<(), RuntimeError> {
-        if *engine_ends > 0 {
-            *post_end_answers += 1;
-        }
-        let got = tuple.arity();
-        if answers.insert(tuple).is_err() {
-            return Err(RuntimeError::AnswerArity {
-                expected: answer_arity,
-                got,
-                partial_answers: answers.len(),
-            });
-        }
-        Ok(())
-    };
-    match msg.payload {
-        Payload::Answer { tuple } => {
-            accept_one(tuple)?;
-            Ok(false)
-        }
-        Payload::AnswerBatch { tuples } => {
-            for tuple in tuples {
-                accept_one(tuple)?;
-            }
-            Ok(false)
-        }
-        Payload::End => {
-            *engine_ends += 1;
-            Ok(true)
-        }
-        Payload::EndTupleRequest { .. } | Payload::EndTupleRequestBatch { .. } => Ok(false),
-        other => Err(RuntimeError::UnexpectedEngineMessage {
-            kind: other.kind_name(),
-        }),
     }
 }
 
@@ -1076,8 +699,6 @@ pub struct ThreadOutcome {
 /// The threaded runtime: a worker pool with work-stealing deques.
 #[derive(Clone, Debug)]
 pub struct ThreadRuntime {
-    /// Wall-clock budget for the whole evaluation.
-    pub timeout: Duration,
     /// Fault-injection plan; `None` runs the pristine 1986 model with
     /// zero transport overhead. Delay and retransmission horizons are
     /// interpreted as milliseconds here.
@@ -1093,10 +714,10 @@ pub struct ThreadRuntime {
     /// never larger than the node count — nodes are the unit of
     /// parallelism).
     pub workers: usize,
-    /// Resource budget: logical-message and memory high-water limits
-    /// plus the per-link credit window (mailbox bound). The wall-clock
-    /// deadline lives in `timeout` here (kept as its own field so the
-    /// existing chaos/pool configuration keeps working).
+    /// Resource budget: the wall-clock deadline (raising
+    /// [`RuntimeError::Timeout`]), logical-message and memory
+    /// high-water limits, and the per-link credit window (mailbox
+    /// bound).
     pub budget: QueryBudget,
     /// Cooperative cancellation handle; trip it from any thread to run
     /// a cancel drain wave and return [`RuntimeError::Cancelled`].
@@ -1106,7 +727,6 @@ pub struct ThreadRuntime {
 impl Default for ThreadRuntime {
     fn default() -> Self {
         ThreadRuntime {
-            timeout: Duration::from_secs(60),
             fault_plan: None,
             recovery: true,
             trace: false,
@@ -1149,22 +769,17 @@ impl ThreadRuntime {
         let workers = self.pool_size(n);
 
         let governor = Arc::new(Governor::new(self.budget.clone(), self.cancel.clone()));
-        // Credit windows need the intra-component pairs (never windowed)
-        // before the network is consumed into per-node state.
-        let intra = Arc::new(network.intra_pairs());
-        // Likewise the shard map, for per-instance abort accounting.
+        // The credit window rides the transport's seq/ack stream, so it
+        // exists only in fault mode; links inside nontrivial strong
+        // components are never windowed (deadlock freedom — see
+        // [`Network::intra_peers`]).
+        let window = self.budget.mailbox_bound.map(|b| b as u64);
+        let intra = network.intra_peers();
+        // The shard map, for per-instance abort accounting.
         let shard_of: Vec<usize> = network.shard_of.iter().map(|&(_, s)| s).collect();
-        let window = if fault_mode {
-            self.budget.mailbox_bound.map(|b| b as u64)
-        } else {
-            // Without a transport (no seq/ack stream) there is nothing
-            // to carry credits; the bound still caps nothing here, but
-            // `mailbox_high_water` is tracked either way.
-            None
-        };
 
-        let net = Arc::new(PoolNet::new(n, workers, Arc::clone(&governor)));
         let (engine_tx, engine_rx) = unbounded::<TMsg>();
+        let net = Arc::new(PoolNet::new(n, workers, Arc::clone(&governor), engine_tx));
 
         // One shared lock-free ring for every actor's events; the trace
         // is collected from it after the workers stop.
@@ -1173,43 +788,37 @@ impl ThreadRuntime {
         } else {
             None
         };
-        let mk_tracer = |actor: usize| {
-            ring.as_ref()
-                .map(|r| Tracer::new(actor as u32, (n + 1) as u32, Arc::clone(r)))
+        let port = |me: Endpoint, unwindowed: BTreeSet<usize>| {
+            let actor = trace_actor(me, n);
+            Port {
+                start,
+                net: Arc::clone(&net),
+                hint: None,
+                link: self
+                    .fault_plan
+                    .clone()
+                    .map(|plan| Transport::new(me, plan, window, unwindowed)),
+                held: Vec::new(),
+                stats: Stats::default(),
+                tracer: ring
+                    .as_ref()
+                    .map(|r| Tracer::new(actor, (n + 1) as u32, Arc::clone(r))),
+            }
         };
 
         let nodes: Arc<Vec<Mutex<NodeState>>> = Arc::new(
             network
                 .processes
                 .into_iter()
+                .zip(intra)
                 .enumerate()
-                .map(|(id, process)| {
-                    let plan = self.fault_plan.clone();
-                    let crashes: Vec<CrashPoint> = plan
-                        .as_ref()
-                        .map(|p| p.crashes.iter().filter(|c| c.node == id).copied().collect())
-                        .unwrap_or_default();
-                    let pristine = if fault_mode {
-                        Some(process.clone())
-                    } else {
-                        None
-                    };
+                .map(|(id, (process, unwindowed))| {
                     Mutex::new(NodeState {
                         id,
+                        pristine: fault_mode.then(|| process.clone()),
                         process,
-                        pristine,
                         recovery: self.recovery,
-                        crashes,
-                        t: Transport::new(
-                            Endpoint::Node(id),
-                            plan,
-                            start,
-                            Arc::clone(&net),
-                            engine_tx.clone(),
-                            mk_tracer(id),
-                            window,
-                            Arc::clone(&intra),
-                        ),
+                        port: port(Endpoint::Node(id), unwindowed),
                         log: Vec::new(),
                         epoch: 0,
                         processed: 0,
@@ -1254,48 +863,22 @@ impl ThreadRuntime {
             }
         }
 
-        // The engine's own transport endpoint: injects the query and,
-        // in fault mode, acks/retransmits on the links to and from the
-        // root node.
-        let mut t = Transport::new(
-            Endpoint::Engine,
-            self.fault_plan.clone(),
-            start,
-            Arc::clone(&net),
-            engine_tx.clone(),
-            mk_tracer(n),
-            window,
-            Arc::clone(&intra),
-        );
-        let to_root = Endpoint::Node(root);
-        t.send_logical(Msg {
-            from: Endpoint::Engine,
-            to: to_root,
-            payload: Payload::RelationRequest,
-        });
-        for b in requests {
-            t.send_logical(Msg {
-                from: Endpoint::Engine,
-                to: to_root,
-                payload: Payload::TupleRequest { binding: b },
-            });
+        // The engine's own port: injects the query and, in fault mode,
+        // acks/retransmits on the links to and from the root node.
+        let mut t = port(Endpoint::Engine, BTreeSet::new());
+        for m in initial_requests(root, requests) {
+            t.send_logical(m);
         }
-        t.send_logical(Msg {
-            from: Endpoint::Engine,
-            to: to_root,
-            payload: Payload::EndOfRequests,
-        });
 
         // Collect until the final End (or timeout / budget trip).
-        let deadline = start + self.timeout;
-        let mut answers = Relation::new(answer_arity);
-        let mut engine_ends: u64 = 0;
-        let mut post_end_answers: u64 = 0;
+        let deadline = start + self.budget.deadline;
+        let mut sink = EngineSink::new(answer_arity);
+        let mut got: Vec<Item> = Vec::new();
         let mut tripped: Option<Trip> = None;
         let mut result: Result<(), RuntimeError> = loop {
             let now = Instant::now();
             if now >= deadline {
-                break Err(self.timeout_error(start, &answers, &net));
+                break Err(self.timeout_error(start, &sink.answers, &net));
             }
             governor.sample_arena();
             if tripped.is_none() {
@@ -1324,61 +907,9 @@ impl ThreadRuntime {
                 Duration::from_millis(25).min(deadline - now)
             };
             match engine_rx.recv_timeout(wait) {
-                Ok(frame) => {
-                    let msgs: Vec<(Msg, Option<Stamp>)> = match frame {
-                        TMsg::Plain(m, s) => vec![(m, s)],
-                        TMsg::Data {
-                            seq,
-                            msg,
-                            corrupted,
-                            stamp,
-                        } => {
-                            if corrupted {
-                                Vec::new()
-                            } else {
-                                let from = msg.from;
-                                t.accept_data(from, seq, msg, stamp)
-                            }
-                        }
-                        TMsg::Ack { peer, upto } => {
-                            t.on_ack(peer, upto);
-                            Vec::new()
-                        }
-                        TMsg::Fatal(e) => break Err(e),
-                    };
-                    let mut flow: Result<bool, RuntimeError> = Ok(false);
-                    for (m, s) in msgs {
-                        if let Some(tr) = t.tracer.as_mut() {
-                            let (kind, items, wave, epoch) = describe_payload(&m.payload);
-                            tr.on_deliver(
-                                trace_actor(m.from, n),
-                                s.as_ref(),
-                                kind,
-                                items,
-                                wave,
-                                epoch,
-                            );
-                            if matches!(m.payload, Payload::End) {
-                                tr.on_end();
-                            }
-                        }
-                        flow = engine_accept(
-                            m,
-                            &mut answers,
-                            &mut engine_ends,
-                            &mut post_end_answers,
-                            answer_arity,
-                        );
-                        if !matches!(flow, Ok(false)) {
-                            break;
-                        }
-                    }
-                    match flow {
-                        Ok(true) => break Ok(()),
-                        Err(e) => break Err(e),
-                        Ok(false) => {}
-                    }
-                }
+                Ok(TMsg::Plain(m, s)) => got.push((m, s)),
+                Ok(TMsg::Frame(f)) => t.receive(f, &mut got),
+                Ok(TMsg::Fatal(e)) => break Err(e),
                 Err(RecvTimeoutError::Timeout) => {
                     if tripped.is_some() && net.pending().is_empty() {
                         break Ok(());
@@ -1386,9 +917,24 @@ impl ThreadRuntime {
                 }
                 Err(RecvTimeoutError::Disconnected) => break Err(RuntimeError::NoTermination),
             }
+            let mut flow: Result<bool, RuntimeError> = Ok(false);
+            for (m, s) in got.drain(..) {
+                t.on_deliver(&m, s.as_ref());
+                if let (Some(tr), Payload::End) = (t.tracer.as_mut(), &m.payload) {
+                    tr.on_end();
+                }
+                flow = sink.engine_accept(m);
+                if !matches!(flow, Ok(false)) {
+                    break;
+                }
+            }
+            match flow {
+                Ok(true) => break Ok(()),
+                Err(e) => break Err(e),
+                Ok(false) => {}
+            }
             if fault_mode {
-                t.flush_delayed();
-                if let Err(e) = t.retransmit_due() {
+                if let Err(e) = t.maintain() {
                     break Err(e);
                 }
             }
@@ -1434,7 +980,7 @@ impl ThreadRuntime {
         let mut stats = t.stats;
         for node in nodes.iter() {
             if let Ok(st) = node.try_lock() {
-                stats.merge(&st.t.stats);
+                stats.merge(&st.port.stats);
             }
         }
         net.merge_sched_stats(&mut stats);
@@ -1469,7 +1015,7 @@ impl ThreadRuntime {
                 result = Err(budget_error(
                     tr,
                     &governor,
-                    answers.iter().cloned().collect(),
+                    sink.answers.iter().cloned().collect(),
                     accounting,
                     stats.cancel_waves,
                 ));
@@ -1477,11 +1023,11 @@ impl ThreadRuntime {
         }
         let events = ring.map(|r| mp_trace::collect((n + 1) as u32, &r));
         result.map(|()| ThreadOutcome {
-            answers,
+            answers: sink.answers,
             stats,
             events,
-            engine_ends,
-            post_end_answers,
+            engine_ends: sink.ends,
+            post_end_answers: sink.post_end_answers,
         })
     }
 
@@ -1490,7 +1036,7 @@ impl ThreadRuntime {
     /// drain.
     fn timeout_error(&self, start: Instant, answers: &Relation, net: &PoolNet) -> RuntimeError {
         RuntimeError::Timeout {
-            budget_millis: self.timeout.as_millis() as u64,
+            budget_millis: self.budget.deadline.as_millis() as u64,
             elapsed_millis: start.elapsed().as_millis() as u64,
             partial_answers: answers.len(),
             pending: net.pending(),

@@ -11,12 +11,13 @@ use mp_framework::datalog::parser::parse_program;
 use mp_framework::datalog::Database;
 use mp_framework::engine::runtime::RuntimeError;
 use mp_framework::engine::{Engine, EngineError, FaultPlan, QueryBudget, RuntimeKind, Schedule};
-use mp_framework::storage::tuple;
+use mp_framework::storage::{tuple, Tuple};
 use mp_framework::workloads::random_programs::{
     generate, generate_stratified, is_interesting, ProgramSpec, StratifiedSpec,
 };
 use mp_framework::workloads::scenarios;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// The canonical stratified workloads must be oracle-identical on both
 /// runtimes at 1 and 4 shards — the PR's acceptance matrix.
@@ -119,6 +120,46 @@ fn one_budget_spans_all_strata() {
         }
         Err(other) => panic!("expected a runtime budget error, got {other}"),
         Ok(_) => panic!("a 5-step budget cannot evaluate this workload"),
+    }
+}
+
+/// A message budget that trips after stratum 0 is reported against the
+/// user's query: the partial answers are a subset of the query's
+/// perfect-model answers (never the tuples of a materialization run's
+/// synthesized query), the limit is the one the user set, and the usage
+/// is the whole pipeline's. On this board stratum 0 (`moved`) costs
+/// 575 logical messages and `lose` 185 more, so 1040 trips while `win`
+/// is being materialized, after it has sent some answers.
+#[test]
+fn staged_budget_errors_describe_the_users_query() {
+    let w = scenarios::win_move(120, 300, 3);
+    let expect: BTreeSet<Tuple> = PerfectModel
+        .evaluate(&w.program, &w.db)
+        .unwrap()
+        .answers
+        .sorted_rows()
+        .into_iter()
+        .collect();
+    let limit = 1040;
+    match Engine::new(w.program.clone(), w.db.clone())
+        .with_budget(QueryBudget::new().with_max_messages(limit))
+        .evaluate()
+    {
+        Err(EngineError::Runtime(RuntimeError::BudgetExceeded {
+            limit: reported,
+            used,
+            partial,
+            ..
+        })) => {
+            assert!(
+                partial.iter().all(|t| expect.contains(t)),
+                "partial answers outside the query's answers: {partial:?}"
+            );
+            assert_eq!(reported, limit, "the user's limit");
+            assert!(used >= limit, "pipeline usage {used} below the limit");
+        }
+        Err(other) => panic!("expected BudgetExceeded, got {other}"),
+        Ok(_) => panic!("a {limit}-message budget cannot evaluate this workload"),
     }
 }
 
