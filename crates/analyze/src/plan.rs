@@ -158,28 +158,26 @@ fn edb_filtered_rows(db: &Database, atom: &mp_datalog::Atom) -> f64 {
     let Some(rel) = db.relation(&atom.pred) else {
         return 0.0;
     };
-    let n = rel
-        .iter()
-        .filter(|t| {
-            let mut bound: Vec<(&Var, mp_storage::Value)> = Vec::new();
-            for (i, term) in atom.terms.iter().enumerate() {
-                match term {
-                    Term::Const(v) => {
-                        if t[i] != *v {
-                            return false;
-                        }
-                    }
-                    Term::Var(v) => match bound.iter().find(|(w, _)| *w == v) {
-                        Some((_, prev)) => {
-                            if t[i] != *prev {
-                                return false;
-                            }
-                        }
-                        None => bound.push((v, t[i])),
-                    },
+    // Constant columns, and (column, column of the variable's first
+    // occurrence) pairs that must agree.
+    let mut const_checks: Vec<(usize, mp_storage::Value)> = Vec::new();
+    let mut eq_checks: Vec<(usize, usize)> = Vec::new();
+    for (i, term) in atom.terms.iter().enumerate() {
+        match term {
+            Term::Const(v) => const_checks.push((i, *v)),
+            Term::Var(v) => {
+                if let Some(first) = atom.terms[..i].iter().position(|t| t.as_var() == Some(v)) {
+                    eq_checks.push((i, first));
                 }
             }
-            true
+        }
+    }
+    let n = (0..rel.len())
+        .filter(|&r| {
+            const_checks.iter().all(|&(i, v)| rel.column(i)[r] == v)
+                && eq_checks
+                    .iter()
+                    .all(|&(i, first)| rel.column(i)[r] == rel.column(first)[r])
         })
         .count();
     n as f64
@@ -621,4 +619,39 @@ pub fn annotate(
             }
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mp_datalog::Atom;
+    use mp_storage::tuple;
+
+    #[test]
+    fn edb_rows_apply_constants_and_repeated_variables() {
+        let mut db = Database::new();
+        for (a, b, c) in [(1, 1, 2), (1, 2, 2), (2, 2, 2), (3, 1, 3)] {
+            db.insert("t", tuple![a, b, c]).unwrap();
+        }
+        let rows = |terms: [&str; 3]| {
+            let terms = terms
+                .iter()
+                .map(|t| match t.parse::<i64>() {
+                    Ok(n) => Term::val(n),
+                    Err(_) => Term::var(*t),
+                })
+                .collect();
+            edb_filtered_rows(&db, &Atom::new("t", terms))
+        };
+        assert_eq!(rows(["X", "Y", "Z"]), 4.0);
+        assert_eq!(rows(["1", "Y", "Z"]), 2.0);
+        assert_eq!(rows(["X", "X", "Z"]), 2.0);
+        assert_eq!(rows(["X", "Y", "X"]), 2.0);
+        assert_eq!(rows(["X", "X", "X"]), 1.0);
+        assert_eq!(rows(["1", "Y", "Y"]), 1.0);
+        assert_eq!(rows(["3", "1", "3"]), 1.0);
+        assert_eq!(rows(["2", "1", "Z"]), 0.0);
+        let missing = Atom::new("missing", vec![Term::var("X")]);
+        assert_eq!(edb_filtered_rows(&db, &missing), 0.0);
+    }
 }

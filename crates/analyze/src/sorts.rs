@@ -29,7 +29,7 @@
 //! select an existing value and keep the variable's sort.
 
 use mp_datalog::{AggFunc, Atom, Database, Predicate, Program, Var};
-use mp_storage::Value;
+use mp_storage::{FastSet, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Default widening cap: column sorts larger than this collapse to their
@@ -105,6 +105,23 @@ impl SortSet {
             SortSet::Values(s) => Some(s.len()),
             SortSet::Top { .. } => None,
         }
+    }
+
+    /// The sort of one EDB column: its distinct values, or — once they
+    /// outnumber `cap` — the types of all its values. Equal to folding
+    /// every value in with [`SortSet::union_with`], without a set per
+    /// value.
+    fn of_column(col: &[Value], cap: usize) -> SortSet {
+        let mut seen: FastSet<Value> = FastSet::default();
+        for &v in col {
+            if seen.insert(v) && seen.len() > cap {
+                return SortSet::Top {
+                    ints: col.iter().any(is_int),
+                    syms: col.iter().any(|v| !is_int(v)),
+                };
+            }
+        }
+        SortSet::Values(seen.into_iter().collect())
     }
 
     /// Lattice join, widening to `Top` past `cap`. Returns true when
@@ -210,12 +227,9 @@ impl SortAnalysis {
     pub fn infer(program: &Program, db: &Database, cap: usize) -> SortAnalysis {
         let mut sorts: BTreeMap<Predicate, Vec<SortSet>> = BTreeMap::new();
         for (pred, rel) in db.iter() {
-            let mut cols = vec![SortSet::empty(); rel.arity()];
-            for t in rel.iter() {
-                for (c, slot) in cols.iter_mut().enumerate() {
-                    slot.union_with(&SortSet::Values(BTreeSet::from([t[c]])), cap);
-                }
-            }
+            let cols = (0..rel.arity())
+                .map(|c| SortSet::of_column(rel.column(c), cap))
+                .collect();
             sorts.insert(pred.clone(), cols);
         }
         loop {

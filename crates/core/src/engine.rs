@@ -544,14 +544,19 @@ impl Engine {
         }
     }
 
-    /// A clone of this engine pointed at a sub-program over the staged
-    /// working database, with whatever budget is left for the pipeline.
+    /// An engine with this one's settings, pointed at a sub-program over
+    /// the staged working database, with whatever budget is left for the
+    /// pipeline. Neither this engine's program nor its EDB is copied, and
+    /// the working database's relations are shared, not copied.
     fn sub_engine(&self, program: Program, db: &Database, budget: QueryBudget) -> Engine {
-        let mut sub = self.clone();
-        sub.program = program;
-        sub.db = db.clone();
-        sub.budget = budget;
-        sub
+        Engine {
+            program,
+            db: db.clone(),
+            budget,
+            cancel: self.cancel.clone(),
+            fault_plan: self.fault_plan.clone(),
+            ..*self
+        }
     }
 
     /// The budget remaining after `spent`, for the next pipeline run:

@@ -11,6 +11,7 @@ use mp_datalog::{Database, Term, Var};
 use mp_rulegoal::{GoalKind, LabelArg, Node, NodeId, RuleGoalGraph};
 use mp_storage::{FastMap, FastSet, IndexedRelation, KeyIndex, Relation, Tuple, Value};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// A customer arc's static configuration plus per-stream state.
 #[derive(Clone, Debug)]
@@ -71,8 +72,9 @@ pub struct GoalCfg {
 #[derive(Clone, Debug)]
 pub struct EdbCfg {
     /// The base relation, pre-filtered by the label's constants and
-    /// repeated-variable equalities, with full arity.
-    pub filtered: Relation,
+    /// repeated-variable equalities, with full arity. An unconstrained
+    /// label shares the database's relation itself.
+    pub filtered: Arc<Relation>,
     /// Hash index of `filtered` on the label's `d` positions.
     pub index: KeyIndex,
     /// Transmitted (non-`e`) positions, full-arity space.
@@ -667,7 +669,7 @@ fn shard_edb(template: &EdbCfg, label: &mp_rulegoal::GoalLabel, s: usize, k: usi
     }
     let index = KeyIndex::build(&filtered, &d_positions).expect("d positions in range");
     EdbCfg {
-        filtered,
+        filtered: Arc::new(filtered),
         index,
         transmitted: template.transmitted.clone(),
     }
@@ -676,8 +678,9 @@ fn shard_edb(template: &EdbCfg, label: &mp_rulegoal::GoalLabel, s: usize, k: usi
 /// Pre-filter and index an EDB relation for a leaf's label.
 fn compile_edb(label: &mp_rulegoal::GoalLabel, db: &Database) -> EdbCfg {
     let ad = label.adornment();
-    let empty = Relation::new(label.arity());
-    let base: &Relation = db.relation(&label.pred).unwrap_or(&empty);
+    let base = db
+        .shared_relation(&label.pred)
+        .unwrap_or_else(|| Arc::new(Relation::new(label.arity())));
 
     // Constant checks and repeated-variable groups from the label.
     let mut const_checks: Vec<(usize, Value)> = Vec::new();
@@ -693,11 +696,11 @@ fn compile_edb(label: &mp_rulegoal::GoalLabel, db: &Database) -> EdbCfg {
         .filter(|g| g.len() > 1)
         .collect();
 
-    // An unconstrained label keeps the whole relation: clone it (dedup
-    // structure and all) instead of re-hashing every row. Labels with
-    // constants or repeated variables re-insert the surviving subset.
+    // An unconstrained label keeps the whole relation, shared with the
+    // database. Labels with constants or repeated variables re-insert
+    // the surviving subset.
     let filtered = if const_checks.is_empty() && eq_groups.is_empty() {
-        base.clone()
+        base
     } else {
         let mut filtered = Relation::new(base.arity());
         for t in base.iter() {
@@ -709,7 +712,7 @@ fn compile_edb(label: &mp_rulegoal::GoalLabel, db: &Database) -> EdbCfg {
                     .expect("same arity as the base relation");
             }
         }
-        filtered
+        Arc::new(filtered)
     };
     let d_positions = ad.d_positions();
     let index = KeyIndex::build(&filtered, &d_positions).expect("d positions in range");
@@ -952,4 +955,66 @@ fn compile_rule(
         },
         st,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mp_datalog::{parser::parse_program, Predicate};
+    use mp_rulegoal::SipKind;
+    use mp_storage::tuple;
+
+    #[test]
+    fn unconstrained_edb_leaves_share_the_database_relation() {
+        let program = parse_program(
+            "p(X, Y) :- e(X, Y).
+             q(X) :- e(X, X).
+             r(Y) :- e(1, Y).
+             ?- p(X, Y), q(X), r(Y).",
+        )
+        .unwrap();
+        let mut db = Database::new();
+        for (a, b) in [(1, 1), (1, 2), (2, 2), (3, 1)] {
+            db.insert("e", tuple![a, b]).unwrap();
+        }
+        let base = db.shared_relation(&Predicate::new("e")).unwrap();
+        let graph = RuleGoalGraph::build(&program, &db, SipKind::Greedy).unwrap();
+        let network = Network::compile(&graph, &db);
+        let mut shared = 0;
+        let mut copied = BTreeSet::new();
+        for p in &network.processes {
+            let Behavior::Edb { cfg } = &p.behavior else {
+                continue;
+            };
+            let Node::Goal { label, .. } = graph.node(p.common.id) else {
+                unreachable!("EDB leaves are goal nodes");
+            };
+            // A constant, or a variable group seen twice, filters rows.
+            let mut groups = Vec::new();
+            let constrained = label.args.iter().any(|a| match a {
+                LabelArg::Const(_) => true,
+                LabelArg::Var { group, .. } => {
+                    let repeated = groups.contains(group);
+                    groups.push(*group);
+                    repeated
+                }
+            });
+            if constrained {
+                assert!(!Arc::ptr_eq(&cfg.filtered, &base), "{label:?}");
+                copied.insert(cfg.filtered.sorted_rows());
+            } else {
+                assert!(Arc::ptr_eq(&cfg.filtered, &base), "{label:?}");
+                shared += 1;
+            }
+        }
+        // `e(X, Y)` shares; `e(X, X)` and `e(1, Y)` hold their own rows.
+        assert!(shared >= 1);
+        assert_eq!(
+            copied,
+            BTreeSet::from([
+                vec![tuple![1, 1], tuple![2, 2]],
+                vec![tuple![1, 1], tuple![1, 2]],
+            ])
+        );
+    }
 }

@@ -4,14 +4,22 @@
 use crate::{Atom, DatalogError, Predicate};
 use mp_storage::{Relation, Tuple};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The EDB: a map from predicate name to relation.
 ///
 /// Iteration over predicates is in name order (BTreeMap), keeping
 /// everything downstream deterministic.
+///
+/// Relations are copy-on-write: a clone of the database shares every
+/// relation with the original, and a write copies only the one relation
+/// it touches, and only while that relation is still shared. The staged
+/// pipeline's working database and every sub-run's EDB are such clones,
+/// and EDB leaves hold the shared relation itself
+/// ([`Database::shared_relation`]) rather than a copy of it.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    relations: BTreeMap<Predicate, Relation>,
+    relations: BTreeMap<Predicate, Arc<Relation>>,
 }
 
 impl Database {
@@ -36,7 +44,7 @@ impl Database {
             }),
             Some(_) => Ok(()),
             None => {
-                self.relations.insert(pred, Relation::new(arity));
+                self.relations.insert(pred, Arc::new(Relation::new(arity)));
                 Ok(())
             }
         }
@@ -52,7 +60,12 @@ impl Database {
         let pred = pred.into();
         self.declare(pred.clone(), tuple.arity())?;
         let rel = self.relations.get_mut(&pred).expect("just declared");
-        rel.insert(tuple).map_err(|e| match e {
+        // A duplicate changes nothing, so it must not copy a shared
+        // relation either.
+        if Arc::strong_count(rel) > 1 && rel.contains(&tuple) {
+            return Ok(false);
+        }
+        Arc::make_mut(rel).insert(tuple).map_err(|e| match e {
             mp_storage::StorageError::ArityMismatch { expected, got } => {
                 DatalogError::ArityConflict {
                     pred: pred.name().to_string(),
@@ -107,7 +120,14 @@ impl Database {
 
     /// The relation for a predicate, if present.
     pub fn relation(&self, pred: &Predicate) -> Option<&Relation> {
-        self.relations.get(pred)
+        self.relations.get(pred).map(|r| &**r)
+    }
+
+    /// A shared handle to the relation for a predicate, if present: the
+    /// relation itself, not a copy. Later writes to this database leave
+    /// the handle's contents unchanged.
+    pub fn shared_relation(&self, pred: &Predicate) -> Option<Arc<Relation>> {
+        self.relations.get(pred).cloned()
     }
 
     /// True if the predicate is an EDB predicate of this database.
@@ -117,7 +137,7 @@ impl Database {
 
     /// Iterate (predicate, relation) pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&Predicate, &Relation)> + '_ {
-        self.relations.iter()
+        self.relations.iter().map(|(p, r)| (p, &**r))
     }
 
     /// All EDB predicate names, in order.
@@ -127,7 +147,7 @@ impl Database {
 
     /// Total number of facts across all relations.
     pub fn fact_count(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
+        self.relations.values().map(|r| r.len()).sum()
     }
 }
 
@@ -174,6 +194,64 @@ mod tests {
         assert_eq!(db.fact_count(), 2);
         // Symbols from the load resolve through the interner.
         assert!(mp_storage::symbol_count() >= 3);
+    }
+
+    fn shares(a: &Database, b: &Database, pred: &str) -> bool {
+        let p = Predicate::new(pred);
+        Arc::ptr_eq(
+            &a.shared_relation(&p).unwrap(),
+            &b.shared_relation(&p).unwrap(),
+        )
+    }
+
+    #[test]
+    fn clones_share_relations_until_written() {
+        let mut db = Database::new();
+        db.insert("e", tuple![1, 2]).unwrap();
+        db.insert("u", tuple![7]).unwrap();
+        let mut copy = db.clone();
+        assert!(shares(&db, &copy, "e") && shares(&db, &copy, "u"));
+        // A duplicate writes nothing; a new tuple copies only the
+        // relation it lands in.
+        assert!(!copy.insert("e", tuple![1, 2]).unwrap());
+        assert!(shares(&db, &copy, "e"));
+        assert!(copy.insert("e", tuple![2, 3]).unwrap());
+        assert!(!shares(&db, &copy, "e"));
+        assert!(shares(&db, &copy, "u"));
+    }
+
+    #[test]
+    fn writes_to_a_clone_leave_the_original_unchanged() {
+        let mut db = Database::new();
+        db.insert("e", tuple![1, 2]).unwrap();
+        let handle = db.shared_relation(&Predicate::new("e")).unwrap();
+        let mut copy = db.clone();
+        assert!(copy.insert("e", tuple![2, 3]).unwrap());
+        assert_eq!(copy.relation(&Predicate::new("e")).unwrap().len(), 2);
+        assert_eq!(db.relation(&Predicate::new("e")).unwrap().len(), 1);
+        assert_eq!(handle.sorted_rows(), vec![tuple![1, 2]]);
+        // Writes to the original after the clone do not leak either.
+        assert!(db.insert("e", tuple![5, 6]).unwrap());
+        assert_eq!(handle.len(), 1);
+        assert!(!copy
+            .relation(&Predicate::new("e"))
+            .unwrap()
+            .contains(&tuple![5, 6]));
+    }
+
+    #[test]
+    fn new_predicates_in_a_clone_stay_in_the_clone() {
+        let mut db = Database::new();
+        db.insert("e", tuple![1, 2]).unwrap();
+        let mut copy = db.clone();
+        copy.insert("win", tuple![1]).unwrap();
+        copy.declare("lose", 1).unwrap();
+        for p in ["win", "lose"] {
+            assert!(copy.contains_pred(&Predicate::new(p)));
+            assert!(!db.contains_pred(&Predicate::new(p)));
+        }
+        assert_eq!((db.fact_count(), copy.fact_count()), (1, 2));
+        assert!(shares(&db, &copy, "e"));
     }
 
     #[test]

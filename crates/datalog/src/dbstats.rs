@@ -7,7 +7,8 @@
 //! `mp-rulegoal` and the §4.3 cost model's calibrated variant.
 
 use crate::{Database, Predicate};
-use std::collections::{BTreeMap, HashSet};
+use mp_storage::{FastMap, Value};
+use std::collections::BTreeMap;
 
 /// Statistics for one relation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,39 +47,34 @@ pub struct DbStats {
 }
 
 impl DbStats {
-    /// Collect statistics with one pass per relation.
+    /// Collect statistics with one pass per column of each relation,
+    /// over the relation's column-major mirror.
     pub fn of(db: &Database) -> DbStats {
         let mut per_relation = BTreeMap::new();
+        let mut counts: FastMap<Value, usize> = FastMap::default();
         for (pred, rel) in db.iter() {
-            let arity = rel.arity();
-            let mut seen: Vec<HashSet<&mp_storage::Value>> = vec![HashSet::new(); arity];
-            for t in rel.iter() {
-                for (c, s) in seen.iter_mut().enumerate() {
-                    s.insert(&t[c]);
+            let mut distinct = Vec::with_capacity(rel.arity());
+            let mut max_degree = Vec::with_capacity(rel.arity());
+            for c in 0..rel.arity() {
+                counts.clear();
+                for &v in rel.column(c) {
+                    *counts.entry(v).or_insert(0) += 1;
                 }
+                distinct.push(counts.len());
+                max_degree.push(counts.values().copied().max().unwrap_or(0));
             }
             // Degree statistics only make sense for edge-shaped (binary)
             // relations; they bound the fan-out of one join step and feed
             // the mp-analyze message-volume estimator.
-            let (max_out_degree, max_in_degree) = if arity == 2 {
-                let mut out: BTreeMap<&mp_storage::Value, usize> = BTreeMap::new();
-                let mut inn: BTreeMap<&mp_storage::Value, usize> = BTreeMap::new();
-                for t in rel.iter() {
-                    *out.entry(&t[0]).or_insert(0) += 1;
-                    *inn.entry(&t[1]).or_insert(0) += 1;
-                }
-                (
-                    Some(out.values().copied().max().unwrap_or(0)),
-                    Some(inn.values().copied().max().unwrap_or(0)),
-                )
-            } else {
-                (None, None)
+            let (max_out_degree, max_in_degree) = match max_degree[..] {
+                [out, inn] => (Some(out), Some(inn)),
+                _ => (None, None),
             };
             per_relation.insert(
                 pred.clone(),
                 RelationStats {
                     rows: rel.len(),
-                    distinct: seen.iter().map(HashSet::len).collect(),
+                    distinct,
                     max_out_degree,
                     max_in_degree,
                 },

@@ -12,16 +12,35 @@
 
 use crate::{Code, Diagnostic};
 use mp_datalog::analysis::DependencyAnalysis;
-use mp_datalog::{Atom, Database, Program, SourceMap, GOAL};
+use mp_datalog::{Atom, Database, Program, Rule, SourceMap, GOAL};
 use std::collections::BTreeMap;
+use std::fmt;
+
+/// Where a predicate's arity was first seen, for MP002's message.
+#[derive(Clone, Copy)]
+enum Site<'p> {
+    Database,
+    Rule(&'p Rule),
+    Fact(&'p Atom),
+}
+
+impl fmt::Display for Site<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Site::Database => f.write_str("the database"),
+            Site::Rule(r) => write!(f, "rule `{r}`"),
+            Site::Fact(a) => write!(f, "fact `{a}.`"),
+        }
+    }
+}
 
 /// Lint a program. `db` supplies externally-loaded EDB relations (arities
 /// and EDB/IDB separation are checked against it when present); `spans`
 /// attaches source positions to clause-level diagnostics when the program
 /// came from [`mp_datalog::parse_program_with_spans`].
-pub fn lint_program(
-    program: &Program,
-    db: Option<&Database>,
+pub fn lint_program<'p>(
+    program: &'p Program,
+    db: Option<&'p Database>,
     spans: Option<&SourceMap>,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
@@ -30,20 +49,18 @@ pub fn lint_program(
 
     // MP002: one arity per predicate, across rules, facts, and the EDB.
     // Report each conflicting predicate once, at its first conflicting use.
-    let mut arities: BTreeMap<String, (usize, String)> = BTreeMap::new();
+    // Sites are described lazily: the text is only needed on a conflict.
+    let mut arities: BTreeMap<&str, (usize, Site)> = BTreeMap::new();
     if let Some(db) = db {
         for (p, r) in db.iter() {
-            arities.insert(
-                p.name().to_string(),
-                (r.arity(), "the database".to_string()),
-            );
+            arities.insert(p.name(), (r.arity(), Site::Database));
         }
     }
     let mut reported = std::collections::BTreeSet::new();
-    let mut check_arity = |a: &Atom, where_: String, span, diags: &mut Vec<Diagnostic>| {
+    let mut check_arity = |a: &'p Atom, site: Site<'p>, span, diags: &mut Vec<Diagnostic>| {
         match arities.get(a.pred.name()) {
-            Some(&(n, ref first)) if n != a.arity() => {
-                if reported.insert(a.pred.name().to_string()) {
+            Some(&(n, first)) if n != a.arity() => {
+                if reported.insert(a.pred.name()) {
                     diags.push(
                         Diagnostic::new(
                             Code::ArityConflict,
@@ -51,7 +68,7 @@ pub fn lint_program(
                                 "predicate `{}` used with arity {} in {}, but with arity {} in {}",
                                 a.pred.name(),
                                 a.arity(),
-                                where_,
+                                site,
                                 n,
                                 first
                             ),
@@ -63,7 +80,7 @@ pub fn lint_program(
             }
             Some(_) => {}
             None => {
-                arities.insert(a.pred.name().to_string(), (a.arity(), where_));
+                arities.insert(a.pred.name(), (a.arity(), site));
             }
         }
     };
@@ -71,9 +88,9 @@ pub fn lint_program(
     let mut has_query = false;
     for (i, r) in program.rules.iter().enumerate() {
         let span = rule_span(i);
-        check_arity(&r.head, format!("rule `{r}`"), span, &mut diags);
+        check_arity(&r.head, Site::Rule(r), span, &mut diags);
         for b in r.body.iter().chain(r.neg.iter()) {
-            check_arity(b, format!("rule `{r}`"), span, &mut diags);
+            check_arity(b, Site::Rule(r), span, &mut diags);
             // MP004: `goal` may not be a subgoal (of either polarity).
             if b.pred.name() == GOAL {
                 diags.push(
@@ -282,7 +299,7 @@ pub fn lint_program(
 
     for (i, f) in program.facts.iter().enumerate() {
         let span = fact_span(i);
-        check_arity(f, format!("fact `{f}.`"), span, &mut diags);
+        check_arity(f, Site::Fact(f), span, &mut diags);
         // MP008: facts must be ground.
         if !f.is_ground() {
             diags.push(
@@ -378,6 +395,40 @@ mod tests {
         let src = "p(X) :- e(X, X), e(X). e(1, 2). ?- p(X).";
         let cs = codes(src);
         assert_eq!(cs.iter().filter(|c| **c == Code::ArityConflict).count(), 1);
+    }
+
+    #[test]
+    fn arity_conflict_messages_name_both_sites() {
+        let message = |src: &str, db: Option<&Database>| {
+            let program = parse_program(src).unwrap();
+            lint_program(&program, db, None)
+                .into_iter()
+                .find(|d| d.code == Code::ArityConflict)
+                .map(|d| d.message)
+                .unwrap()
+        };
+        assert_eq!(
+            message("e(1). e(1, 2). p(X) :- f(X). f(3). ?- p(X).", None),
+            "predicate `e` used with arity 2 in fact `e(1, 2).`, but with arity 1 in fact `e(1).`"
+        );
+        assert_eq!(
+            message("p(X) :- e(X). e(1, 2). ?- p(X).", None),
+            "predicate `e` used with arity 2 in fact `e(1, 2).`, but with arity 1 in rule `p(X) :- e(X).`"
+        );
+        assert_eq!(
+            message("p(X) :- e(X, X), e(X). ?- p(X).", None),
+            "predicate `e` used with arity 1 in rule `p(X) :- e(X, X), e(X).`, but with arity 2 in rule `p(X) :- e(X, X), e(X).`"
+        );
+        let mut db = Database::new();
+        db.declare("e", 2).unwrap();
+        assert_eq!(
+            message("p(X) :- e(X). ?- p(X).", Some(&db)),
+            "predicate `e` used with arity 1 in rule `p(X) :- e(X).`, but with arity 2 in the database"
+        );
+        assert_eq!(
+            message("e(1). p(X) :- f(X). f(3). ?- p(X).", Some(&db)),
+            "predicate `e` used with arity 1 in fact `e(1).`, but with arity 2 in the database"
+        );
     }
 
     #[test]

@@ -237,13 +237,22 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut db = Database::new();
-    if let Err(e) = program.load_facts(&mut db) {
-        eprintln!("mpq: {e}");
-        return ExitCode::FAILURE;
-    }
+    // `--dot` and `--baseline` read the inline facts from a loaded
+    // database. The engine loads them itself, and its compile-time lints
+    // (MP002 arity conflicts, MP008 non-ground facts) reject bad ones.
+    let loaded = || {
+        let mut db = Database::new();
+        program.load_facts(&mut db).map(|()| db)
+    };
 
     if opts.dot {
+        let db = match loaded() {
+            Ok(db) => db,
+            Err(e) => {
+                eprintln!("mpq: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         match RuleGoalGraph::build(&program, &db, opts.sip) {
             Ok(g) => {
                 print!("{}", dot::to_dot(&g));
@@ -261,7 +270,7 @@ fn main() -> ExitCode {
             eprintln!("mpq: unknown baseline `{name}`");
             return ExitCode::FAILURE;
         };
-        match ev.evaluate(&program, &db) {
+        match loaded().and_then(|db| ev.evaluate(&program, &db)) {
             Ok(r) => {
                 for t in r.answers.sorted_rows() {
                     println!("{t}");
@@ -279,7 +288,7 @@ fn main() -> ExitCode {
     }
 
     let tracing = opts.trace.is_some() || opts.check;
-    let mut engine = Engine::new(program, db)
+    let mut engine = Engine::new(program, Database::new())
         .with_sip(opts.sip)
         .with_runtime(opts.runtime)
         .with_batching(opts.batching)
