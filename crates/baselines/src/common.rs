@@ -28,17 +28,12 @@ pub struct RelStore {
 }
 
 impl RelStore {
-    /// Initialize from an EDB.
+    /// Initialize from an EDB. Each relation is copied whole (rows,
+    /// columns and dedup set), not re-inserted row by row.
     pub fn from_database(db: &Database) -> RelStore {
-        let mut store = RelStore::default();
-        for (p, r) in db.iter() {
-            let mut ir = IndexedRelation::new(r.arity());
-            for t in r.iter() {
-                ir.insert(t.clone()).expect("EDB arity");
-            }
-            store.rels.insert(p.clone(), ir);
+        RelStore {
+            rels: db.iter().map(|(p, r)| (p.clone(), r.clone())).collect(),
         }
-        store
     }
 
     /// Ensure a relation exists with the given arity.

@@ -140,12 +140,10 @@ impl Evaluator for MagicSets {
         program.validate(&db)?;
         let (rules, adorned_goal) = self.transform(program, &db);
         // The transformed program carries its own seed fact.
-        let (facts, rules): (Vec<Rule>, Vec<Rule>) = rules.into_iter().partition(Rule::is_fact);
-        for f in &facts {
-            db.insert_atom(&f.head)?;
-        }
+        let transformed = Program::new(rules);
+        transformed.load_facts(&mut db)?;
         let mut stats = EvalStats::default();
-        let store = evaluate_stratified(&rules, &db, &mut stats);
+        let store = evaluate_stratified(&transformed.rules, &db, &mut stats);
         stats.stored_tuples = store.total_tuples();
 
         let goal_arity = program

@@ -43,8 +43,8 @@ impl DependencyAnalysis {
                 entry.insert(b.pred.clone());
             }
         }
-        for f in &program.facts {
-            preds.insert(f.pred.clone());
+        for table in &program.facts {
+            preds.insert(table.pred().clone());
         }
         let predicates: Vec<Predicate> = preds.into_iter().collect();
         let sccs = tarjan_sccs(&predicates, &depends);

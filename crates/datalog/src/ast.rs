@@ -170,20 +170,6 @@ impl Atom {
         }
         out
     }
-
-    /// True if the atom contains no variables.
-    pub fn is_ground(&self) -> bool {
-        self.terms.iter().all(|t| !t.is_var())
-    }
-
-    /// Convert a ground atom to a tuple of its constants.
-    pub fn to_tuple(&self) -> Option<mp_storage::Tuple> {
-        self.terms
-            .iter()
-            .map(|t| t.as_const().cloned())
-            .collect::<Option<Vec<_>>>()
-            .map(mp_storage::Tuple::new)
-    }
 }
 
 impl fmt::Debug for Atom {
@@ -386,16 +372,6 @@ mod tests {
             vec![Term::var("X"), Term::val(1), Term::var("Y"), Term::var("X")],
         );
         assert_eq!(a.vars(), vec![Var::new("X"), Var::new("Y")]);
-        assert!(!a.is_ground());
-    }
-
-    #[test]
-    fn ground_atom_to_tuple() {
-        let a = Atom::new("p", vec![Term::val(1), Term::val("a")]);
-        assert!(a.is_ground());
-        assert_eq!(a.to_tuple(), Some(mp_storage::tuple![1, "a"]));
-        let b = Atom::new("p", vec![Term::var("X")]);
-        assert_eq!(b.to_tuple(), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The extensional database (EDB): named, fixed-arity relations of ground
 //! facts, "viewed as a conventional relational database" (§1).
 
-use crate::{Atom, DatalogError, Predicate};
+use crate::{DatalogError, Predicate};
 use mp_storage::{Relation, Tuple};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -77,45 +77,38 @@ impl Database {
         })
     }
 
-    /// Insert a ground atom as a fact.
-    pub fn insert_atom(&mut self, atom: &Atom) -> Result<bool, DatalogError> {
-        let tuple = atom.to_tuple().ok_or_else(|| DatalogError::NonGroundFact {
-            atom: atom.to_string(),
-        })?;
-        self.insert(atom.pred.clone(), tuple)
-    }
-
-    /// Bulk-load ground atoms, pre-sizing the process-wide symbol
-    /// interner for the load. Returns how many facts were new.
-    ///
-    /// Symbols in atoms that came through the parser are interned at
-    /// parse time, so for those the reservation is a no-op; programmatic
-    /// loads that mint string values while building atoms get one
-    /// pre-sized table instead of repeated rehashes mid-load
-    /// (over-estimating is harmless — see
-    /// [`mp_storage::reserve_symbols`]).
-    pub fn bulk_insert_atoms<'a>(
+    /// Add every row of `rows` to `pred`'s relation. A predicate the
+    /// database does not hold yet takes `rows` itself, shared, and loading
+    /// the same relation again costs nothing; only a relation filled
+    /// separately has rows merged into it.
+    pub(crate) fn load_relation(
         &mut self,
-        atoms: impl IntoIterator<Item = &'a Atom>,
-    ) -> Result<usize, DatalogError> {
-        let atoms: Vec<&Atom> = atoms.into_iter().collect();
-        let sym_terms: usize = atoms
-            .iter()
-            .map(|a| {
-                a.terms
-                    .iter()
-                    .filter(|t| t.as_const().is_some_and(|v| v.as_str().is_some()))
-                    .count()
-            })
-            .sum();
-        mp_storage::reserve_symbols(sym_terms);
-        let mut new = 0;
-        for a in atoms {
-            if self.insert_atom(a)? {
-                new += 1;
+        pred: &Predicate,
+        rows: &Arc<Relation>,
+    ) -> Result<(), DatalogError> {
+        let Some(rel) = self.relations.get_mut(pred) else {
+            self.relations.insert(pred.clone(), Arc::clone(rows));
+            return Ok(());
+        };
+        if Arc::ptr_eq(rel, rows) {
+            return Ok(());
+        }
+        if rel.arity() != rows.arity() {
+            return Err(DatalogError::ArityConflict {
+                pred: pred.name().to_string(),
+                a: rel.arity(),
+                b: rows.arity(),
+            });
+        }
+        for t in rows.iter() {
+            // As in `insert`: a duplicate must not copy a shared relation.
+            if !rel.contains(t) {
+                Arc::make_mut(rel)
+                    .insert(t.clone())
+                    .expect("arities checked above");
             }
         }
-        Ok(new)
+        Ok(())
     }
 
     /// The relation for a predicate, if present.
@@ -154,7 +147,6 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Term;
     use mp_storage::tuple;
 
     #[test]
@@ -183,17 +175,44 @@ mod tests {
     }
 
     #[test]
-    fn bulk_insert_counts_new_facts_only() {
+    fn load_relation_shares_then_merges() {
+        let mut rows = Relation::new(2);
+        rows.insert(tuple![1, 2]).unwrap();
+        rows.insert(tuple![2, 3]).unwrap();
+        let rows = Arc::new(rows);
+        let e = Predicate::new("e");
         let mut db = Database::new();
-        let facts = vec![
-            Atom::new("likes", vec![Term::val("ann"), Term::val("bo")]),
-            Atom::new("likes", vec![Term::val("bo"), Term::val("cy")]),
-            Atom::new("likes", vec![Term::val("ann"), Term::val("bo")]),
-        ];
-        assert_eq!(db.bulk_insert_atoms(&facts).unwrap(), 2);
-        assert_eq!(db.fact_count(), 2);
-        // Symbols from the load resolve through the interner.
-        assert!(mp_storage::symbol_count() >= 3);
+        db.load_relation(&e, &rows).unwrap();
+        assert!(Arc::ptr_eq(&db.shared_relation(&e).unwrap(), &rows));
+        // The same relation again: nothing to do, still shared.
+        db.load_relation(&e, &rows).unwrap();
+        assert!(Arc::ptr_eq(&db.shared_relation(&e).unwrap(), &rows));
+        // A relation filled separately gets the new rows merged in,
+        // after its own, and the loaded relation is left as it was.
+        let mut other = Database::new();
+        other.insert("e", tuple![2, 3]).unwrap();
+        other.insert("e", tuple![7, 7]).unwrap();
+        other.load_relation(&e, &rows).unwrap();
+        assert_eq!(
+            other.relation(&e).unwrap().rows(),
+            &[tuple![2, 3], tuple![7, 7], tuple![1, 2]]
+        );
+        assert_eq!(rows.len(), 2);
+        assert!(matches!(
+            other.load_relation(&e, &Arc::new(Relation::new(3))),
+            Err(DatalogError::ArityConflict { a: 2, b: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn loading_duplicates_into_a_clone_copies_nothing() {
+        let mut db = Database::new();
+        db.insert("e", tuple![1, 2]).unwrap();
+        let rows = db.shared_relation(&Predicate::new("e")).unwrap();
+        let mut copy = db.clone();
+        let dup = Arc::new((*rows).clone());
+        copy.load_relation(&Predicate::new("e"), &dup).unwrap();
+        assert!(shares(&db, &copy, "e"));
     }
 
     fn shares(a: &Database, b: &Database, pred: &str) -> bool {
@@ -252,17 +271,5 @@ mod tests {
         }
         assert_eq!((db.fact_count(), copy.fact_count()), (1, 2));
         assert!(shares(&db, &copy, "e"));
-    }
-
-    #[test]
-    fn insert_atom_requires_ground() {
-        let mut db = Database::new();
-        let ok = Atom::new("p", vec![Term::val(1)]);
-        assert!(db.insert_atom(&ok).unwrap());
-        let bad = Atom::new("p", vec![Term::var("X")]);
-        assert!(matches!(
-            db.insert_atom(&bad),
-            Err(DatalogError::NonGroundFact { .. })
-        ));
     }
 }

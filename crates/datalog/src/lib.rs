@@ -25,6 +25,7 @@ pub mod analysis;
 mod ast;
 mod database;
 mod dbstats;
+mod facts;
 pub mod parser;
 mod program;
 mod span;
@@ -33,6 +34,7 @@ pub mod unify;
 pub use ast::{AggFunc, AggSpec, Atom, Predicate, Rule, Term, Var};
 pub use database::Database;
 pub use dbstats::{DbStats, RelationStats};
+pub use facts::FactTable;
 pub use program::Program;
 pub use span::{SourceMap, Span};
 

@@ -28,6 +28,7 @@
 //! and requires a body to aggregate over. All violations are reported as
 //! typed [`DatalogError::Parse`] errors carrying line/column spans.
 
+use crate::facts::FactTables;
 use crate::{AggFunc, AggSpec, Atom, DatalogError, Program, Rule, SourceMap, Span, Term, GOAL};
 use mp_storage::Value;
 
@@ -36,8 +37,9 @@ pub fn parse_program(src: &str) -> Result<Program, DatalogError> {
     Ok(Parser::new(src).program()?.0)
 }
 
-/// Parse a program and record where each clause begins, for rendering
-/// diagnostics against the source text.
+/// Parse a program and record where each rule begins, for rendering
+/// diagnostics against the source text. (Fact tables carry their own
+/// spans.)
 pub fn parse_program_with_spans(src: &str) -> Result<(Program, SourceMap), DatalogError> {
     Parser::new(src).program()
 }
@@ -56,7 +58,11 @@ pub fn parse_atom(src: &str) -> Result<Atom, DatalogError> {
 /// Parse a single rule or fact terminated by `.`.
 pub fn parse_rule(src: &str) -> Result<Rule, DatalogError> {
     let mut p = Parser::new(src);
-    let r = p.clause()?.ok_or_else(|| p.err("expected a clause"))?;
+    let r = match p.clause()? {
+        Some(Clause::Rule(r)) => r,
+        Some(Clause::Fact(name)) => Rule::fact(Atom::new(name, p.terms.clone())),
+        None => return Err(p.err("expected a clause")),
+    };
     p.skip_ws();
     if !p.at_end() {
         return Err(p.err("trailing input after clause"));
@@ -64,27 +70,43 @@ pub fn parse_rule(src: &str) -> Result<Rule, DatalogError> {
     Ok(r)
 }
 
+/// One parsed clause. A fact's terms stay in the parser's `terms`
+/// buffer, so a fact builds no atom of its own.
+enum Clause<'a> {
+    Rule(Rule),
+    /// A fact, by predicate name.
+    Fact(&'a str),
+}
+
 struct Parser<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: usize,
     line_start: usize,
+    /// The terms of the last clause head, reused from clause to clause.
+    terms: Vec<Term>,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Self {
         Parser {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             line_start: 0,
+            terms: Vec::new(),
         }
     }
 
     fn err(&self, msg: impl Into<String>) -> DatalogError {
+        self.err_at(self.pos, msg)
+    }
+
+    /// An error at byte `pos`, which must lie on the current line.
+    fn err_at(&self, pos: usize, msg: impl Into<String>) -> DatalogError {
         DatalogError::Parse {
             line: self.line,
-            col: self.pos - self.line_start + 1,
+            col: pos - self.line_start + 1,
             msg: msg.into(),
         }
     }
@@ -94,7 +116,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -127,7 +149,7 @@ impl<'a> Parser<'a> {
 
     fn eat(&mut self, token: &str) -> bool {
         self.skip_ws();
-        if self.src[self.pos..].starts_with(token.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(token.as_bytes()) {
             for _ in 0..token.len() {
                 self.bump();
             }
@@ -145,7 +167,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self) -> Option<String> {
+    /// An identifier, borrowed from the source.
+    fn ident(&mut self) -> Option<&'a str> {
         self.skip_ws();
         let start = self.pos;
         match self.peek() {
@@ -161,10 +184,11 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        Some(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
+        // Identifiers are ASCII, so both ends are char boundaries.
+        Some(&self.src[start..self.pos])
     }
 
-    fn integer(&mut self) -> Option<i64> {
+    fn integer(&mut self) -> Result<Option<i64>, DatalogError> {
         self.skip_ws();
         let start = self.pos;
         if self.peek() == Some(b'-') {
@@ -180,42 +204,53 @@ impl<'a> Parser<'a> {
         }
         if self.pos == digits_start {
             self.pos = start;
-            return None;
+            return Ok(None);
         }
-        std::str::from_utf8(&self.src[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
+        match self.src[start..self.pos].parse() {
+            Ok(i) => Ok(Some(i)),
+            Err(_) => Err(self.err_at(
+                start,
+                format!(
+                    "integer literal `{}` is out of range for a 64-bit integer",
+                    &self.src[start..self.pos]
+                ),
+            )),
+        }
     }
 
-    fn string(&mut self) -> Result<Option<String>, DatalogError> {
+    fn string(&mut self) -> Result<Option<Value>, DatalogError> {
         self.skip_ws();
         if self.peek() != Some(b'"') {
             return Ok(None);
         }
         self.bump();
-        let mut out = String::new();
+        let mut out = Vec::new();
         loop {
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(Some(out)),
+                Some(b'"') => break,
                 Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(c) => out.push(c as char),
+                    Some(b'n') => out.push(b'\n'),
+                    Some(b't') => out.push(b'\t'),
+                    Some(c) => out.push(c),
                     None => return Err(self.err("unterminated escape")),
                 },
-                Some(c) => out.push(c as char),
+                Some(c) => out.push(c),
             }
         }
+        // The literal is a run of the (UTF-8) source with ASCII escapes
+        // replaced by ASCII bytes, so it is UTF-8 too.
+        let text = String::from_utf8(out).map_err(|_| self.err("string is not valid UTF-8"))?;
+        Ok(Some(Value::str(text)))
     }
 
     fn term(&mut self) -> Result<Term, DatalogError> {
         self.skip_ws();
-        if let Some(i) = self.integer() {
+        if let Some(i) = self.integer()? {
             return Ok(Term::val(i));
         }
-        if let Some(s) = self.string()? {
-            return Ok(Term::val(Value::str(s)));
+        if let Some(v) = self.string()? {
+            return Ok(Term::Const(v));
         }
         let start_pos = self.pos;
         match self.ident() {
@@ -236,7 +271,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn atom(&mut self) -> Result<Atom, DatalogError> {
+    /// A predicate name.
+    fn pred_name(&mut self) -> Result<&'a str, DatalogError> {
         self.skip_ws();
         let name = self
             .ident()
@@ -244,6 +280,11 @@ impl<'a> Parser<'a> {
         if name.as_bytes()[0].is_ascii_uppercase() {
             return Err(self.err("predicate names must start lower-case"));
         }
+        Ok(name)
+    }
+
+    fn atom(&mut self) -> Result<Atom, DatalogError> {
+        let name = self.pred_name()?;
         let mut terms = Vec::new();
         if self.eat("(") {
             loop {
@@ -255,31 +296,27 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        Ok(Atom::new(name.as_str(), terms))
+        Ok(Atom::new(name, terms))
     }
 
-    /// Parse a rule head: an atom whose argument positions may also hold a
-    /// single aggregate term `func<Var>`.
-    fn head_atom(&mut self) -> Result<(Atom, Option<AggSpec>), DatalogError> {
-        self.skip_ws();
-        let name = self
-            .ident()
-            .ok_or_else(|| self.err("expected predicate name"))?;
-        if name.as_bytes()[0].is_ascii_uppercase() {
-            return Err(self.err("predicate names must start lower-case"));
-        }
-        let mut terms = Vec::new();
+    /// Parse a clause head into its predicate name and `self.terms`. An
+    /// argument position may also hold a single aggregate term
+    /// `func<Var>`.
+    fn head(&mut self) -> Result<(&'a str, Option<AggSpec>), DatalogError> {
+        let name = self.pred_name()?;
+        self.terms.clear();
         let mut agg: Option<AggSpec> = None;
         if self.eat("(") {
             loop {
-                if let Some(spec) = self.agg_term(terms.len())? {
+                if let Some(spec) = self.agg_term(self.terms.len())? {
                     if agg.is_some() {
                         return Err(self.err("at most one aggregate term per rule head"));
                     }
-                    terms.push(Term::Var(spec.var.clone()));
+                    self.terms.push(Term::Var(spec.var.clone()));
                     agg = Some(spec);
                 } else {
-                    terms.push(self.term()?);
+                    let t = self.term()?;
+                    self.terms.push(t);
                 }
                 if self.eat(",") {
                     continue;
@@ -288,7 +325,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        Ok((Atom::new(name.as_str(), terms), agg))
+        Ok((name, agg))
     }
 
     /// Try to parse an aggregate head term `count/sum/min/max<Var>` at the
@@ -301,7 +338,7 @@ impl<'a> Parser<'a> {
         let Some(name) = self.ident() else {
             return Ok(None);
         };
-        let func = match AggFunc::parse(&name) {
+        let func = match AggFunc::parse(name) {
             Some(f) if self.eat("<") => f,
             _ => {
                 (self.pos, self.line, self.line_start) = start;
@@ -343,7 +380,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parse one clause; `None` at end of input.
-    fn clause(&mut self) -> Result<Option<Rule>, DatalogError> {
+    fn clause(&mut self) -> Result<Option<Clause<'a>>, DatalogError> {
         self.skip_ws();
         if self.at_end() {
             return Ok(None);
@@ -363,23 +400,24 @@ impl<'a> Parser<'a> {
                 }
             }
             let head = Atom::new(GOAL, vars.into_iter().map(Term::Var).collect());
-            return Ok(Some(Rule::new(head, body).with_neg(neg)));
+            return Ok(Some(Clause::Rule(Rule::new(head, body).with_neg(neg))));
         }
-        let (head, agg) = self.head_atom()?;
+        let (name, agg) = self.head()?;
         if self.eat(":-") || self.eat("<-") {
+            let head = Atom::new(name, self.terms.drain(..).collect());
             let (body, neg) = self.body()?;
             self.expect(".")?;
             let mut rule = Rule::new(head, body).with_neg(neg);
             if let Some(spec) = agg {
                 rule = rule.with_agg(spec);
             }
-            Ok(Some(rule))
+            Ok(Some(Clause::Rule(rule)))
         } else {
             self.expect(".")?;
             if agg.is_some() {
                 return Err(self.err("an aggregate head requires a rule body"));
             }
-            Ok(Some(Rule::fact(head)))
+            Ok(Some(Clause::Fact(name)))
         }
     }
 
@@ -389,30 +427,33 @@ impl<'a> Parser<'a> {
         Span::new(self.line, self.pos - self.line_start + 1)
     }
 
+    /// The whole program. Each fact goes straight from the head buffer
+    /// into its predicate's table.
     fn program(&mut self) -> Result<(Program, SourceMap), DatalogError> {
-        let mut prog = Program::default();
+        let mut rules = Vec::new();
+        let mut facts = FactTables::default();
         let mut map = SourceMap::default();
         loop {
             let span = self.here();
-            let Some(r) = self.clause()? else { break };
-            // Mirror `Program::new`'s rule/fact split, keeping the side
-            // table aligned with it.
-            if r.is_fact() {
-                prog.facts.push(r.head);
-                map.fact_spans.push(span);
-            } else {
-                prog.rules.push(r);
-                map.rule_spans.push(span);
+            match self.clause()? {
+                None => break,
+                Some(Clause::Rule(r)) => {
+                    rules.push(r);
+                    map.rule_spans.push(span);
+                }
+                Some(Clause::Fact(name)) => facts.push(name, &self.terms, Some(span)),
             }
         }
-        Ok((prog, map))
+        let facts = facts.finish();
+        Ok((Program { rules, facts }, map))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{atom, Var};
+    use crate::{atom, FactTable, Var};
+    use mp_storage::tuple;
 
     #[test]
     fn parses_facts_rules_and_query() {
@@ -427,7 +468,12 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert_eq!(p.facts.len(), 2);
+        assert_eq!(p.facts.len(), 1);
+        let FactTable::Rows { rows, span, .. } = &p.facts[0] else {
+            panic!("ground facts make a row table")
+        };
+        assert_eq!(rows.rows(), &[tuple![1, 2], tuple![2, 3]]);
+        assert_eq!(*span, Some(Span::new(3, 13)));
         assert_eq!(p.rules.len(), 3);
         let q: Vec<_> = p.query_rules().collect();
         assert_eq!(q.len(), 1);
@@ -472,6 +518,74 @@ mod tests {
     fn string_escapes() {
         let a = parse_atom(r#"p("a\nb\"c")"#).unwrap();
         assert_eq!(a.terms[0], Term::val(Value::str("a\nb\"c")));
+    }
+
+    #[test]
+    fn string_literals_decode_as_utf8() {
+        let a = parse_atom(r#"p("héllo", "日本\"語", "\é")"#).unwrap();
+        assert_eq!(a.terms[0], Term::val(Value::str("héllo")));
+        assert_eq!(a.terms[1], Term::val(Value::str("日本\"語")));
+        // An escaped non-ASCII character is the character itself.
+        assert_eq!(a.terms[2], Term::val(Value::str("é")));
+    }
+
+    #[test]
+    fn out_of_range_integers_are_reported_at_the_literal() {
+        for (src, col) in [
+            ("p(99999999999999999999).", 3),
+            ("p(1, -99999999999999999999).", 6),
+            ("q(X) :- e(X, 9223372036854775808).", 14),
+        ] {
+            match parse_program(src) {
+                Err(DatalogError::Parse {
+                    line: 1,
+                    col: c,
+                    msg,
+                }) => {
+                    assert_eq!(c, col, "{src}: {msg}");
+                    assert!(msg.contains("out of range"), "{src}: {msg}");
+                }
+                other => panic!("expected a parse error for {src:?}, got {other:?}"),
+            }
+        }
+        // The extremes themselves parse.
+        let a = parse_atom("p(-9223372036854775808, 9223372036854775807)").unwrap();
+        assert_eq!(a.terms, vec![Term::val(i64::MIN), Term::val(i64::MAX)]);
+    }
+
+    #[test]
+    fn facts_become_one_table_per_predicate_and_arity() {
+        let p = parse_program(
+            "e(1, 2). f(a). e(2, 3).\ne(X, 1). e(1, 2). f(a, b). p(X) :- e(X, Y), f(Y).",
+        )
+        .unwrap();
+        let summary: Vec<(String, usize, Option<Span>, usize)> = p
+            .facts
+            .iter()
+            .map(|t| {
+                let rows = match t {
+                    FactTable::Rows { rows, .. } => rows.len(),
+                    FactTable::NonGround { .. } => 0,
+                };
+                (t.pred().to_string(), t.arity(), t.span(), rows)
+            })
+            .collect();
+        assert_eq!(
+            summary,
+            vec![
+                ("e".into(), 2, Some(Span::new(1, 1)), 2),
+                ("f".into(), 1, Some(Span::new(1, 10)), 1),
+                ("e".into(), 2, Some(Span::new(2, 1)), 0),
+                ("f".into(), 2, Some(Span::new(2, 19)), 1),
+            ]
+        );
+        assert_eq!(p.facts[2].first_fact(), atom!("e"; var "X", val 1));
+        assert_eq!(p.facts[3].first_fact().to_string(), "f(a, b)");
+        assert_eq!(p.rules.len(), 1);
+        // A single clause still parses as a fact rule.
+        let r = parse_rule("e(1, 2).").unwrap();
+        assert!(r.is_fact());
+        assert_eq!(r.head, atom!("e"; val 1, val 2));
     }
 
     #[test]

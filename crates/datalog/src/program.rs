@@ -1,31 +1,33 @@
 //! Programs: the IDB (PIDB ∪ query rules) plus §1 well-formedness checks.
 
-use crate::{Atom, Database, DatalogError, Predicate, Rule, GOAL};
+use crate::facts::FactTables;
+use crate::{Database, DatalogError, FactTable, Predicate, Rule, GOAL};
 use std::collections::BTreeMap;
 
 /// An intentional database: the union of the permanent IDB and the query
-/// rules (§1). Facts encountered in source text are kept separately so
-/// they can be loaded into a [`Database`].
+/// rules (§1). Facts encountered in source text are kept separately, as
+/// tables, so they can be loaded into a [`Database`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Program {
     /// Proper rules (nonempty body).
     pub rules: Vec<Rule>,
-    /// Ground facts parsed alongside the rules.
-    pub facts: Vec<Atom>,
+    /// Inline facts: one table per predicate and arity (plus one entry
+    /// per non-ground fact), in order of first appearance.
+    pub facts: Vec<FactTable>,
 }
 
 impl Program {
-    /// Build a program from rules, separating out facts.
+    /// Build a program from rules, separating out facts into tables.
     pub fn new(rules: Vec<Rule>) -> Self {
-        let mut prog = Program::default();
-        for r in rules {
-            if r.is_fact() {
-                prog.facts.push(r.head);
-            } else {
-                prog.rules.push(r);
-            }
+        let mut facts = FactTables::default();
+        for r in rules.iter().filter(|r| r.is_fact()) {
+            facts.push(r.head.pred.name(), &r.head.terms, None);
         }
-        prog
+        let facts = facts.finish();
+        Program {
+            rules: rules.into_iter().filter(|r| !r.is_fact()).collect(),
+            facts,
+        }
     }
 
     /// The goal predicate.
@@ -62,9 +64,20 @@ impl Program {
         out
     }
 
-    /// Load this program's inline facts into a database.
+    /// Load this program's inline facts into a database: each table is
+    /// shared into it (see `Database::load_relation`). Stops at the first
+    /// arity conflict or non-ground fact.
     pub fn load_facts(&self, db: &mut Database) -> Result<(), DatalogError> {
-        db.bulk_insert_atoms(&self.facts)?;
+        for table in &self.facts {
+            match table {
+                FactTable::Rows { pred, rows, .. } => db.load_relation(pred, rows)?,
+                FactTable::NonGround { atom, .. } => {
+                    return Err(DatalogError::NonGroundFact {
+                        atom: atom.to_string(),
+                    })
+                }
+            }
+        }
         Ok(())
     }
 
@@ -75,22 +88,22 @@ impl Program {
     /// 3. `goal` occurs in no rule body;
     /// 4. at least one `goal` rule exists;
     /// 5. every predicate has a single arity across the program and EDB;
-    /// 6. facts are ground (enforced structurally by [`Database`]).
+    /// 6. inline facts are ground.
     pub fn validate(&self, db: &Database) -> Result<(), DatalogError> {
         let mut arities: BTreeMap<Predicate, usize> = BTreeMap::new();
         for (p, r) in db.iter() {
             arities.insert(p.clone(), r.arity());
         }
-        let mut check_arity = |a: &Atom| -> Result<(), DatalogError> {
-            match arities.get(&a.pred) {
-                Some(&n) if n != a.arity() => Err(DatalogError::ArityConflict {
-                    pred: a.pred.name().to_string(),
+        let mut check_arity = |pred: &Predicate, arity: usize| -> Result<(), DatalogError> {
+            match arities.get(pred) {
+                Some(&n) if n != arity => Err(DatalogError::ArityConflict {
+                    pred: pred.name().to_string(),
                     a: n,
-                    b: a.arity(),
+                    b: arity,
                 }),
                 Some(_) => Ok(()),
                 None => {
-                    arities.insert(a.pred.clone(), a.arity());
+                    arities.insert(pred.clone(), arity);
                     Ok(())
                 }
             }
@@ -98,9 +111,9 @@ impl Program {
 
         let mut has_query = false;
         for r in &self.rules {
-            check_arity(&r.head)?;
+            check_arity(&r.head.pred, r.head.arity())?;
             for b in r.body.iter().chain(r.neg.iter()) {
-                check_arity(b)?;
+                check_arity(&b.pred, b.arity())?;
                 if b.pred.name() == GOAL {
                     return Err(DatalogError::GoalInBody);
                 }
@@ -120,11 +133,11 @@ impl Program {
                 has_query = true;
             }
         }
-        for f in &self.facts {
-            check_arity(f)?;
-            if !f.is_ground() {
+        for table in &self.facts {
+            check_arity(table.pred(), table.arity())?;
+            if let FactTable::NonGround { atom, .. } = table {
                 return Err(DatalogError::NonGroundFact {
-                    atom: f.to_string(),
+                    atom: atom.to_string(),
                 });
             }
         }
@@ -137,8 +150,8 @@ impl Program {
 
 impl std::fmt::Display for Program {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for fact in &self.facts {
-            writeln!(f, "{fact}.")?;
+        for table in &self.facts {
+            write!(f, "{table}")?;
         }
         for r in &self.rules {
             writeln!(f, "{r}")?;
@@ -150,7 +163,7 @@ impl std::fmt::Display for Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{atom, Term};
+    use crate::{atom, Atom, Term};
     use mp_storage::tuple;
 
     fn tc_program() -> Program {
@@ -269,17 +282,54 @@ mod tests {
 
     #[test]
     fn facts_are_separated_and_loadable() {
+        let fact = |a: i64, b: i64| Rule::fact(Atom::new("edge", vec![Term::val(a), Term::val(b)]));
         let p = Program::new(vec![
-            Rule::fact(Atom::new("edge", vec![Term::val(1), Term::val(2)])),
+            fact(1, 2),
             Rule::new(
                 atom!("goal"; var "X"),
                 vec![atom!("edge"; var "X", var "X")],
             ),
+            fact(2, 3),
+            fact(1, 2),
         ]);
+        // One table for `edge`, its rows deduplicated in source order.
         assert_eq!(p.facts.len(), 1);
         assert_eq!(p.rules.len(), 1);
+        let FactTable::Rows { rows, span, .. } = &p.facts[0] else {
+            panic!("ground facts make a row table")
+        };
+        assert_eq!(rows.rows(), &[tuple![1, 2], tuple![2, 3]]);
+        assert_eq!(*span, None);
         let mut db = Database::new();
         p.load_facts(&mut db).unwrap();
-        assert_eq!(db.fact_count(), 1);
+        assert_eq!(db.fact_count(), 2);
+        assert!(std::sync::Arc::ptr_eq(
+            &db.shared_relation(&Predicate::new("edge")).unwrap(),
+            rows
+        ));
+        assert_eq!(
+            p.to_string(),
+            "edge(1, 2).\nedge(2, 3).\ngoal(X) :- edge(X, X).\n"
+        );
+    }
+
+    #[test]
+    fn fact_tables_are_validated() {
+        let mut p = tc_program();
+        p.facts = Program::new(vec![Rule::fact(atom!("path"; val 1))]).facts;
+        assert!(matches!(
+            p.validate(&edb()),
+            Err(DatalogError::ArityConflict { .. })
+        ));
+        p.facts = Program::new(vec![Rule::fact(atom!("edge"; var "X", val 1))]).facts;
+        assert!(matches!(p.facts[0], FactTable::NonGround { .. }));
+        assert!(matches!(
+            p.validate(&edb()),
+            Err(DatalogError::NonGroundFact { .. })
+        ));
+        assert!(matches!(
+            p.load_facts(&mut Database::new()),
+            Err(DatalogError::NonGroundFact { .. })
+        ));
     }
 }

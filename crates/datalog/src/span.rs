@@ -1,10 +1,11 @@
 //! Source positions for parsed clauses.
 //!
-//! [`Program`](crate::Program) stays a pure AST — compared structurally in
-//! tests and built programmatically by workloads — so positions live in a
-//! side table ([`SourceMap`]) produced by
+//! Rules stay a pure AST — compared structurally in tests and built
+//! programmatically by workloads — so their positions live in a side
+//! table ([`SourceMap`]) produced by
 //! [`parser::parse_program_with_spans`](crate::parser::parse_program_with_spans)
-//! and consumed by diagnostics tooling (the `mp-lint` crate).
+//! and consumed by diagnostics tooling (the `mp-lint` crate). An inline
+//! fact table records where its first fact begins itself.
 
 /// A 1-based source position: where a clause begins.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -28,24 +29,18 @@ impl std::fmt::Display for Span {
     }
 }
 
-/// Clause positions for one parsed program, aligned by index with
-/// `Program::rules` and `Program::facts` respectively.
+/// Rule positions for one parsed program, aligned by index with
+/// `Program::rules`. Each inline fact table carries its own span
+/// ([`FactTable::span`](crate::FactTable::span)).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SourceMap {
     /// `rule_spans[i]` is where `program.rules[i]` begins.
     pub rule_spans: Vec<Span>,
-    /// `fact_spans[i]` is where `program.facts[i]` begins.
-    pub fact_spans: Vec<Span>,
 }
 
 impl SourceMap {
     /// Span of rule `i`, if tracked.
     pub fn rule(&self, i: usize) -> Option<Span> {
         self.rule_spans.get(i).copied()
-    }
-
-    /// Span of fact `i`, if tracked.
-    pub fn fact(&self, i: usize) -> Option<Span> {
-        self.fact_spans.get(i).copied()
     }
 }

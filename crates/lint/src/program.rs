@@ -12,8 +12,8 @@
 
 use crate::{Code, Diagnostic};
 use mp_datalog::analysis::DependencyAnalysis;
-use mp_datalog::{Atom, Database, Program, Rule, SourceMap, GOAL};
-use std::collections::BTreeMap;
+use mp_datalog::{Database, FactTable, Predicate, Program, Rule, SourceMap, GOAL};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Where a predicate's arity was first seen, for MP002's message.
@@ -21,7 +21,8 @@ use std::fmt;
 enum Site<'p> {
     Database,
     Rule(&'p Rule),
-    Fact(&'p Atom),
+    /// A fact table, named by its first fact.
+    Fact(&'p FactTable),
 }
 
 impl fmt::Display for Site<'_> {
@@ -29,7 +30,7 @@ impl fmt::Display for Site<'_> {
         match self {
             Site::Database => f.write_str("the database"),
             Site::Rule(r) => write!(f, "rule `{r}`"),
-            Site::Fact(a) => write!(f, "fact `{a}.`"),
+            Site::Fact(t) => write!(f, "fact `{}.`", t.first_fact()),
         }
     }
 }
@@ -45,7 +46,6 @@ pub fn lint_program<'p>(
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let rule_span = |i: usize| spans.and_then(|m| m.rule(i));
-    let fact_span = |i: usize| spans.and_then(|m| m.fact(i));
 
     // MP002: one arity per predicate, across rules, facts, and the EDB.
     // Report each conflicting predicate once, at its first conflicting use.
@@ -56,18 +56,22 @@ pub fn lint_program<'p>(
             arities.insert(p.name(), (r.arity(), Site::Database));
         }
     }
-    let mut reported = std::collections::BTreeSet::new();
-    let mut check_arity = |a: &'p Atom, site: Site<'p>, span, diags: &mut Vec<Diagnostic>| {
-        match arities.get(a.pred.name()) {
-            Some(&(n, first)) if n != a.arity() => {
-                if reported.insert(a.pred.name()) {
+    let mut reported = BTreeSet::new();
+    let mut check_arity = |pred: &'p Predicate,
+                           arity: usize,
+                           site: Site<'p>,
+                           span,
+                           diags: &mut Vec<Diagnostic>| {
+        match arities.get(pred.name()) {
+            Some(&(n, first)) if n != arity => {
+                if reported.insert(pred.name()) {
                     diags.push(
                         Diagnostic::new(
                             Code::ArityConflict,
                             format!(
                                 "predicate `{}` used with arity {} in {}, but with arity {} in {}",
-                                a.pred.name(),
-                                a.arity(),
+                                pred.name(),
+                                arity,
                                 site,
                                 n,
                                 first
@@ -80,17 +84,24 @@ pub fn lint_program<'p>(
             }
             Some(_) => {}
             None => {
-                arities.insert(a.pred.name(), (a.arity(), site));
+                arities.insert(pred.name(), (arity, site));
             }
         }
     };
+    let fact_preds: BTreeSet<&Predicate> = program.facts.iter().map(FactTable::pred).collect();
 
     let mut has_query = false;
     for (i, r) in program.rules.iter().enumerate() {
         let span = rule_span(i);
-        check_arity(&r.head, Site::Rule(r), span, &mut diags);
+        check_arity(
+            &r.head.pred,
+            r.head.arity(),
+            Site::Rule(r),
+            span,
+            &mut diags,
+        );
         for b in r.body.iter().chain(r.neg.iter()) {
-            check_arity(b, Site::Rule(r), span, &mut diags);
+            check_arity(&b.pred, b.arity(), Site::Rule(r), span, &mut diags);
             // MP004: `goal` may not be a subgoal (of either polarity).
             if b.pred.name() == GOAL {
                 diags.push(
@@ -127,7 +138,7 @@ pub fn lint_program<'p>(
         }
 
         // MP003: a rule head that already has EDB facts.
-        let inline_fact = program.facts.iter().any(|f| f.pred == r.head.pred);
+        let inline_fact = fact_preds.contains(&r.head.pred);
         let in_db = db.is_some_and(|d| d.contains_pred(&r.head.pred));
         if inline_fact || in_db {
             diags.push(
@@ -297,15 +308,23 @@ pub fn lint_program<'p>(
         }
     }
 
-    for (i, f) in program.facts.iter().enumerate() {
-        let span = fact_span(i);
-        check_arity(f, Site::Fact(f), span, &mut diags);
+    // Facts, one table at a time: a table is one predicate and arity,
+    // and its span is its first fact's.
+    for table in &program.facts {
+        let span = table.span();
+        check_arity(
+            table.pred(),
+            table.arity(),
+            Site::Fact(table),
+            span,
+            &mut diags,
+        );
         // MP008: facts must be ground.
-        if !f.is_ground() {
+        if let FactTable::NonGround { atom, .. } = table {
             diags.push(
                 Diagnostic::new(
                     Code::NonGroundFact,
-                    format!("fact `{f}.` contains a variable"),
+                    format!("fact `{atom}.` contains a variable"),
                 )
                 .with_span(span)
                 .with_note("EDB relations hold ground tuples only (§1)"),
@@ -395,6 +414,17 @@ mod tests {
         let src = "p(X) :- e(X, X), e(X). e(1, 2). ?- p(X).";
         let cs = codes(src);
         assert_eq!(cs.iter().filter(|c| **c == Code::ArityConflict).count(), 1);
+    }
+
+    #[test]
+    fn arity_conflict_points_at_the_conflicting_fact() {
+        let (program, spans) = parse_program_with_spans("e(1). f(2). e(1, 2).").unwrap();
+        let d = lint_program(&program, None, Some(&spans))
+            .into_iter()
+            .find(|d| d.code == Code::ArityConflict)
+            .expect("MP002 fires");
+        assert_eq!(d.span, Some(mp_datalog::Span::new(1, 13)));
+        assert!(d.message.contains("fact `e(1, 2).`"), "{}", d.message);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
 
 /// Multiplier from the golden ratio (same constant family as FxHash /
 /// Fibonacci hashing); spreads consecutive interned ids across buckets.
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+pub(crate) const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Fold one word into a running key hash — the same rotate/xor/multiply
 /// step [`FastHasher`] applies per word, exposed as a pure function so

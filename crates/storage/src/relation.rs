@@ -21,6 +21,11 @@
 //! arena and store *hashes*, not keys: candidates are verified against
 //! the column mirror, so a tuple's values are never stored a third time
 //! and indexes stay valid as rows are appended.
+//!
+//! The dedup set is a chained hash table: a map from row hash to the
+//! newest row with that hash, plus one `next` link per row to the
+//! previous row with the same hash. A new distinct row costs one map
+//! entry and one `u32`, not a `Vec` of its own.
 
 use crate::fast_hash::{fold_key_word, FastMap, FastSet};
 use crate::{FastHasher, StorageError, Tuple, Value};
@@ -34,6 +39,9 @@ use std::hash::{BuildHasher, BuildHasherDefault};
 pub(crate) fn key_hash(key: &[Value]) -> u64 {
     key.iter().fold(0, |h, v| fold_key_word(h, v.key_word()))
 }
+
+/// End of a dedup hash chain.
+const NO_ROW: u32 = u32::MAX;
 
 /// A set of same-arity tuples, iterated in insertion order.
 ///
@@ -51,11 +59,15 @@ pub struct Relation {
     /// Column-major mirror of `rows`: `cols[c][i] == rows[i][c]`. The
     /// scan and verification kernels loop over these contiguous slices.
     cols: Vec<Vec<Value>>,
-    /// Dedup set: row hash → ids of rows with that hash. Holds ids, not
-    /// cloned tuples; candidates are verified against the arena. Keys
-    /// are interned engine data, so the deterministic [`FastHasher`]
-    /// replaces SipHash on this hottest of paths.
-    dedup: FastMap<u64, Vec<u32>>,
+    /// Dedup set, the head of each hash chain: row hash → id of the
+    /// newest row with that hash. Holds ids, not cloned tuples;
+    /// candidates are verified against the arena. Keys are interned
+    /// engine data, so the deterministic [`FastHasher`] replaces SipHash
+    /// on this hottest of paths.
+    dedup: FastMap<u64, u32>,
+    /// Hash chains: `next[i]` is the previous row with row `i`'s hash,
+    /// or [`NO_ROW`] at the end of the chain.
+    next: Vec<u32>,
     /// Hash state used to fold a row into the `u64` dedup key.
     state: BuildHasherDefault<FastHasher>,
     indexes: HashMap<Vec<usize>, KeyIndex>,
@@ -69,6 +81,7 @@ impl Relation {
             rows: Vec::new(),
             cols: vec![Vec::new(); arity],
             dedup: FastMap::default(),
+            next: Vec::new(),
             state: BuildHasherDefault::default(),
             indexes: HashMap::new(),
         }
@@ -102,34 +115,66 @@ impl Relation {
         self.rows.is_empty()
     }
 
-    /// Row ids (into [`Relation::rows`]) of arena rows equal to `t`,
-    /// i.e. zero or one id since the relation is a set.
-    fn find(&self, t: &Tuple) -> Option<u32> {
-        self.find_hashed(self.state.hash_one(t), t)
+    /// The id of the arena row equal to `values`, if any (a relation
+    /// is a set, so there is at most one).
+    fn find(&self, values: &[Value]) -> Option<u32> {
+        self.find_hashed(self.state.hash_one(values), values)
     }
 
-    fn find_hashed(&self, h: u64, t: &Tuple) -> Option<u32> {
-        self.dedup
-            .get(&h)?
-            .iter()
-            .copied()
-            .find(|&i| self.rows[i as usize] == *t)
+    fn find_hashed(&self, h: u64, values: &[Value]) -> Option<u32> {
+        let mut id = *self.dedup.get(&h)?;
+        while id != NO_ROW {
+            if self.rows[id as usize].values() == values {
+                return Some(id);
+            }
+            id = self.next[id as usize];
+        }
+        None
+    }
+
+    fn check_arity(&self, got: usize) -> Result<(), StorageError> {
+        if got == self.arity {
+            Ok(())
+        } else {
+            Err(StorageError::ArityMismatch {
+                expected: self.arity,
+                got,
+            })
+        }
     }
 
     /// Insert a tuple. Returns `Ok(true)` if the tuple was new, `Ok(false)`
     /// if it was a duplicate. All prepared indexes are updated.
     pub fn insert(&mut self, t: Tuple) -> Result<bool, StorageError> {
-        if t.arity() != self.arity {
-            return Err(StorageError::ArityMismatch {
-                expected: self.arity,
-                got: t.arity(),
-            });
-        }
-        let h = self.state.hash_one(&t);
-        if self.find_hashed(h, &t).is_some() {
+        self.check_arity(t.arity())?;
+        // `Tuple` hashes exactly like its value slice.
+        let h = self.state.hash_one(t.values());
+        if self.find_hashed(h, t.values()).is_some() {
             return Ok(false);
         }
-        let row_id = self.rows.len() as u32;
+        self.push_new(h, t);
+        Ok(true)
+    }
+
+    /// [`Relation::insert`] from a borrowed value slice: the tuple is
+    /// only allocated when the row is new. Bulk loaders that parse rows
+    /// into a reused buffer pay nothing for a duplicate.
+    pub fn insert_values(&mut self, values: &[Value]) -> Result<bool, StorageError> {
+        self.check_arity(values.len())?;
+        let h = self.state.hash_one(values);
+        if self.find_hashed(h, values).is_some() {
+            return Ok(false);
+        }
+        self.push_new(h, Tuple::from(values));
+        Ok(true)
+    }
+
+    /// Append a row known to be new, with its dedup hash `h`.
+    fn push_new(&mut self, h: u64, t: Tuple) {
+        let row_id = u32::try_from(self.rows.len())
+            .ok()
+            .filter(|&id| id != NO_ROW)
+            .expect("relation exceeds the u32 row id space");
         for idx in self.indexes.values_mut() {
             idx.add(row_id, &t);
         }
@@ -137,13 +182,13 @@ impl Relation {
             col.push(v);
         }
         self.rows.push(t);
-        self.dedup.entry(h).or_default().push(row_id);
-        Ok(true)
+        self.next
+            .push(self.dedup.insert(h, row_id).unwrap_or(NO_ROW));
     }
 
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.find(t).is_some()
+        self.find(t.values()).is_some()
     }
 
     /// Iterate in insertion order.
@@ -530,6 +575,111 @@ mod tests {
         // The original is untouched.
         assert_eq!(r.len(), 1);
         assert_eq!(c.column(1).len(), 2);
+    }
+
+    /// Rows `(a, y)` whose dedup hashes all equal that of `(0, 0)`, one
+    /// per `a` in `keys`. The last word the hasher mixes is the final
+    /// integer payload, `h = (rotl(p, 5) ^ y) * SEED` with `p` the state
+    /// before it, so `y` is solved for by inverting the multiply.
+    fn colliding_rows(r: &Relation, keys: std::ops::Range<i64>) -> Vec<Tuple> {
+        let seed = crate::fast_hash::SEED;
+        let mut inv = seed;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(seed.wrapping_mul(inv)));
+        }
+        assert_eq!(seed.wrapping_mul(inv), 1);
+        let pre = |a: i64| r.state.hash_one(tuple![a, 0].values()).wrapping_mul(inv);
+        let rows: Vec<Tuple> = keys.map(|a| tuple![a, (pre(0) ^ pre(a)) as i64]).collect();
+        let target = r.state.hash_one(tuple![0, 0].values());
+        for t in &rows {
+            assert_eq!(r.state.hash_one(t.values()), target, "{t} must collide");
+        }
+        rows
+    }
+
+    #[test]
+    fn chained_dedup_rejects_duplicates() {
+        let mut r = Relation::new(2);
+        for i in 0..50i64 {
+            assert!(r.insert(tuple![i % 10, i / 10]).unwrap());
+        }
+        for i in (0..50i64).rev() {
+            assert!(!r.insert(tuple![i % 10, i / 10]).unwrap());
+            assert!(!r
+                .insert_values(&[Value::int(i % 10), Value::int(i / 10)])
+                .unwrap());
+        }
+        assert_eq!(r.len(), 50);
+        assert!(r
+            .insert_values(&[Value::int(99), Value::str("new")])
+            .unwrap());
+        assert_eq!(r.rows()[50], tuple![99, "new"]);
+        assert_eq!(
+            r.insert_values(&[Value::int(1)]),
+            Err(StorageError::ArityMismatch {
+                expected: 2,
+                got: 1
+            })
+        );
+        // Arity 0: the empty row is the only row.
+        let mut unit = Relation::new(0);
+        assert!(unit.insert(Tuple::unit()).unwrap());
+        assert!(!unit.insert_values(&[]).unwrap());
+        assert_eq!(unit.len(), 1);
+    }
+
+    #[test]
+    fn chained_dedup_survives_hash_collisions() {
+        let mut r = Relation::new(2);
+        let rows = colliding_rows(&r, 1..9);
+        // Every row lands in one chain; each is still told apart.
+        for t in &rows {
+            assert!(r.insert(t.clone()).unwrap());
+        }
+        assert_eq!(r.dedup.len(), 1);
+        for t in rows.iter().rev() {
+            assert!(r.contains(t));
+            assert!(!r.insert(t.clone()).unwrap());
+        }
+        // A row with the chain's hash that was never inserted is absent,
+        // then joins the chain at its head.
+        assert!(!r.contains(&tuple![0, 0]));
+        assert!(r.insert_values(&[Value::int(0), Value::int(0)]).unwrap());
+        assert!(r.contains(&tuple![0, 0]));
+        assert_eq!(r.len(), rows.len() + 1);
+        assert_eq!(&r.rows()[..rows.len()], &rows[..]);
+    }
+
+    #[test]
+    fn clones_extend_their_own_chains() {
+        let mut r = Relation::new(2);
+        let rows = colliding_rows(&r, 1..7);
+        for t in &rows[..3] {
+            r.insert(t.clone()).unwrap();
+        }
+        let mut c = r.clone();
+        for t in &rows[3..] {
+            assert!(c.insert(t.clone()).unwrap());
+        }
+        for t in &rows {
+            assert!(!c.insert(t.clone()).unwrap());
+        }
+        // The original's chain is untouched by the clone's inserts.
+        assert_eq!(r.len(), 3);
+        for t in &rows[3..] {
+            assert!(!r.contains(t));
+        }
+        assert!(r.insert(rows[5].clone()).unwrap());
+        assert_eq!(
+            r.rows(),
+            &[
+                rows[0].clone(),
+                rows[1].clone(),
+                rows[2].clone(),
+                rows[5].clone()
+            ]
+        );
+        assert_eq!(c.rows(), &rows[..]);
     }
 
     #[test]
